@@ -5,25 +5,15 @@
 // trace (chrome://tracing / Perfetto) and the bench cross-checks it: the
 // "sta.pass" span duration must agree with the metrics pass wall time, and
 // the "sta.level" spans must cover the pass.
-//
-// The bench also races the two schedulers (level-barrier vs by-dependency)
-// on the iterative mode. On a multi-core host it asserts that the pool's
-// wait share (wait_ns / (busy_ns + wait_ns)) is strictly lower under
-// by-dependency — the barrier wait has to move into busy time. On a
-// single-core host there is no barrier wait to recover, so it instead
-// prints both modes' metrics and asserts the delays are bitwise identical
-// (which must hold on every host regardless).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/crosstalk_sta.hpp"
@@ -83,8 +73,7 @@ std::vector<SpanInfo> spans_named(const util::JsonValue& trace,
 /// Returns false (and explains) when a pass span disagrees with the
 /// metrics wall time by more than 5%.
 bool check_trace(const std::string& path, const sta::MetricsSnapshot& m,
-                 bench::JsonObject& json_root,
-                 const std::string& key_prefix = "") {
+                 bench::JsonObject& json_root) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -127,8 +116,8 @@ bool check_trace(const std::string& path, const sta::MetricsSnapshot& m,
               << "%), level coverage " << coverage * 100.0 << "%\n";
     if (rel > 0.05) ok = false;
   }
-  json_root.set(key_prefix + "trace_pass_spans", passes.size())
-      .set(key_prefix + "trace_worst_pass_delta", worst_rel);
+  json_root.set("trace_pass_spans", passes.size())
+      .set("trace_worst_pass_delta", worst_rel);
   std::cout << "trace check: " << (ok ? "OK" : "FAILED")
             << " (pass spans within 5% of metrics wall: worst "
             << std::setprecision(2) << worst_rel * 100.0 << "%)\n";
@@ -150,98 +139,6 @@ void print_breakdown(const char* label, const sta::StaResult& r) {
               << p.gates_reused << std::setw(11) << p.waveform_calcs << "\n";
   }
   std::cout << sta::format_result_summary(r) << "\n";
-}
-
-double pool_wait_share(const sta::MetricsSnapshot& m) {
-  const double total =
-      static_cast<double>(m.pool_busy_ns) + static_cast<double>(m.pool_wait_ns);
-  return total > 0.0 ? static_cast<double>(m.pool_wait_ns) / total : 0.0;
-}
-
-/// Run the iterative mode under both schedulers and check the acceptance
-/// condition: bitwise-identical delays always; strictly lower pool wait
-/// share under by-dependency when >= 2 worker threads ran. With a trace
-/// path, the by-dependency run is traced too and put through the same 5%
-/// trace-vs-metrics cross-check as the barrier run (the dependency mode
-/// reconstructs its level spans from epoch timestamps).
-bool compare_schedulers(const core::Design& design, int num_threads,
-                        const std::string& trace_path,
-                        bench::JsonReport& json) {
-  std::cout << "--- scheduler comparison: iterative mode ---\n";
-  const sta::Scheduler scheds[2] = {sta::Scheduler::kLevelBarrier,
-                                    sta::Scheduler::kByDependency};
-  sta::StaResult results[2];
-  bool trace_ok = true;
-  for (int i = 0; i < 2; ++i) {
-    sta::StaOptions opt;
-    opt.mode = sta::AnalysisMode::kIterative;
-    opt.num_threads = num_threads;
-    opt.collect_metrics = true;
-    opt.scheduler = scheds[i];
-    const bool traced =
-        scheds[i] == sta::Scheduler::kByDependency && !trace_path.empty();
-    if (traced) opt.trace_path = trace_path;
-    results[i] = design.run(opt);
-    if (traced) {
-      trace_ok =
-          check_trace(trace_path, results[i].metrics, json.root(), "dep_");
-    }
-    const sta::MetricsSnapshot& m = results[i].metrics;
-    std::cout << "  " << std::left << std::setw(14)
-              << sta::scheduler_name(scheds[i]) << std::right << " delay "
-              << std::fixed << std::setprecision(6)
-              << results[i].longest_path_delay * 1e9 << " ns, threads "
-              << results[i].threads_used << ", wait share "
-              << std::setprecision(2) << pool_wait_share(m) * 100.0
-              << "% (busy " << std::setprecision(4)
-              << static_cast<double>(m.pool_busy_ns) * 1e-9 << " s, wait "
-              << static_cast<double>(m.pool_wait_ns) * 1e-9
-              << " s, ready-wait "
-              << static_cast<double>(m.pool_ready_wait_ns) * 1e-9 << " s)\n";
-    bench::JsonObject& row = json.add_row("schedulers");
-    row.set("mode", "iterative");
-    bench::fill_result_row(row, results[i]);
-  }
-
-  bool ok = true;
-  const double da = results[0].longest_path_delay;
-  const double db = results[1].longest_path_delay;
-  if (std::memcmp(&da, &db, sizeof(double)) != 0 ||
-      results[0].waveform_calculations != results[1].waveform_calculations) {
-    std::cout << "scheduler check: FAILED, results differ across schedulers ("
-              << std::setprecision(9) << da * 1e9 << " ns / "
-              << results[0].waveform_calculations << " calcs vs "
-              << db * 1e9 << " ns / " << results[1].waveform_calculations
-              << " calcs)\n";
-    ok = false;
-  }
-  const bool multi = std::thread::hardware_concurrency() >= 2 &&
-                     results[0].threads_used >= 2 &&
-                     results[1].threads_used >= 2;
-  json.root().set("scheduler_delays_identical",
-                  std::memcmp(&da, &db, sizeof(double)) == 0);
-  if (multi) {
-    const double barrier_share = pool_wait_share(results[0].metrics);
-    const double dep_share = pool_wait_share(results[1].metrics);
-    json.root()
-        .set("barrier_wait_share", barrier_share)
-        .set("dependency_wait_share", dep_share);
-    if (dep_share < barrier_share) {
-      std::cout << "scheduler check: OK, by-dependency wait share "
-                << std::setprecision(2) << dep_share * 100.0
-                << "% < level-barrier " << barrier_share * 100.0 << "%\n";
-    } else {
-      std::cout << "scheduler check: FAILED, by-dependency wait share "
-                << std::setprecision(2) << dep_share * 100.0
-                << "% is not below level-barrier " << barrier_share * 100.0
-                << "%\n";
-      ok = false;
-    }
-  } else if (ok) {
-    std::cout << "scheduler check: OK, single-core host — delays bitwise "
-                 "identical across schedulers (no barrier wait to recover)\n";
-  }
-  return ok && trace_ok;
 }
 
 }  // namespace
@@ -297,9 +194,7 @@ int main(int argc, char** argv) {
     bench::fill_result_row(row, r);
     if (traced) trace_ok = check_trace(trace_path, r.metrics, json.root());
   }
-  const bool sched_ok =
-      compare_schedulers(design, num_threads, trace_path, json);
   json.write_file(json_path);
   std::cout << std::endl;
-  return (trace_ok && sched_ok) ? 0 : 1;
+  return trace_ok ? 0 : 1;
 }

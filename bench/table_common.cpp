@@ -172,7 +172,6 @@ const std::vector<std::string>& result_row_required_keys() {
       "waveform_calculations",
       "gates_reused",
       "threads_used",
-      "scheduler",
       "missing_sink_wires",
       "diag_errors",
       "diag_warnings",
@@ -193,7 +192,6 @@ const std::vector<std::string>& result_row_required_keys() {
       "pool_utilization",
       "pool_busy_ns",
       "pool_wait_ns",
-      "pool_ready_wait_ns",
       "trace_events",
       "scenario",
       "scenarios_total",
@@ -225,7 +223,6 @@ void fill_result_row(JsonObject& row, const sta::StaResult& result,
       .set("waveform_calculations", result.waveform_calculations)
       .set("gates_reused", result.gates_reused)
       .set("threads_used", result.threads_used)
-      .set("scheduler", sta::scheduler_name(result.scheduler))
       .set("missing_sink_wires", result.missing_sink_wires)
       .set("diag_errors", result.diagnostics.count(util::Severity::kError))
       .set("diag_warnings", result.diagnostics.count(util::Severity::kWarning))
@@ -250,7 +247,6 @@ void fill_result_row(JsonObject& row, const sta::StaResult& result,
       .set("pool_utilization", m.pool_utilization)
       .set("pool_busy_ns", m.pool_busy_ns)
       .set("pool_wait_ns", m.pool_wait_ns)
-      .set("pool_ready_wait_ns", m.pool_ready_wait_ns)
       .set("trace_events", m.trace_events)
       .set("scenario", info.scenario)
       .set("scenarios_total", info.scenarios_total)

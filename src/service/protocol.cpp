@@ -9,7 +9,6 @@ namespace {
 /// Highest valid enum values for range-checked decodes.
 constexpr std::uint8_t kNumAnalysisModes = 5;
 constexpr std::uint8_t kNumDelayModels = 2;
-constexpr std::uint8_t kNumSchedulers = 3;
 constexpr std::uint8_t kNumFaultPolicies = 2;
 constexpr std::uint8_t kNumBudgetPolicies = 2;
 constexpr std::uint8_t kNumEcoOps = 6;
@@ -79,7 +78,6 @@ sta::StaOptions RunSpec::to_options() const {
   sta::StaOptions o;
   o.mode = mode;
   o.delay_model = delay_model;
-  o.scheduler = scheduler;
   o.input_slew = input_slew;
   o.convergence_eps = convergence_eps;
   o.max_passes = max_passes;
@@ -111,7 +109,6 @@ RunSpec RunSpec::from_options(const sta::StaOptions& options) {
   RunSpec s;
   s.mode = options.mode;
   s.delay_model = options.delay_model;
-  s.scheduler = options.scheduler;
   s.input_slew = options.input_slew;
   s.convergence_eps = options.convergence_eps;
   s.max_passes = options.max_passes;
@@ -143,7 +140,6 @@ std::string RunSpec::cache_key() const {
 void RunSpec::encode(util::WireWriter& w) const {
   w.u8(static_cast<std::uint8_t>(mode));
   w.u8(static_cast<std::uint8_t>(delay_model));
-  w.u8(static_cast<std::uint8_t>(scheduler));
   w.f64(input_slew);
   w.f64(convergence_eps);
   w.i32(max_passes);
@@ -170,8 +166,6 @@ bool RunSpec::decode(util::WireReader& r) {
   mode = static_cast<sta::AnalysisMode>(v);
   if (!r.enum8(&v, kNumDelayModels)) return false;
   delay_model = static_cast<sta::DelayModel>(v);
-  if (!r.enum8(&v, kNumSchedulers)) return false;
-  scheduler = static_cast<sta::Scheduler>(v);
   if (!r.f64(&input_slew)) return false;
   if (!r.f64(&convergence_eps)) return false;
   if (!r.i32(&max_passes)) return false;
@@ -371,7 +365,6 @@ void RunResultMsg::encode(util::WireWriter& w) const {
   w.u64(gates_reused);
   w.f64(runtime_seconds);
   w.i32(threads_used);
-  w.u8(scheduler);
   w.u64(missing_sink_wires);
   w.boolean(budget_exhausted);
   w.u8(budget_reason);
@@ -405,7 +398,6 @@ bool RunResultMsg::decode(util::WireReader& r) {
   if (!r.u64(&gates_reused)) return false;
   if (!r.f64(&runtime_seconds)) return false;
   if (!r.i32(&threads_used)) return false;
-  if (!r.u8(&scheduler)) return false;
   if (!r.u64(&missing_sink_wires)) return false;
   if (!r.boolean(&budget_exhausted)) return false;
   if (!r.u8(&budget_reason)) return false;
@@ -449,7 +441,6 @@ RunResultMsg RunResultMsg::from_result(const sta::StaResult& result) {
   m.gates_reused = result.gates_reused;
   m.runtime_seconds = result.runtime_seconds;
   m.threads_used = result.threads_used;
-  m.scheduler = static_cast<std::uint8_t>(result.scheduler);
   m.missing_sink_wires = result.missing_sink_wires;
   m.budget_exhausted = result.budget.exhausted;
   m.budget_reason = static_cast<std::uint8_t>(result.budget.reason);

@@ -29,7 +29,8 @@
 
 namespace xtalk::service {
 
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: RunSpec and RunResultMsg dropped their scheduler byte.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 /// Frame header size on the socket (payload length prefix).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
@@ -97,16 +98,15 @@ struct HelloMsg {
 };
 
 /// The numeric identity of an analysis request: every StaOptions field that
-/// can change a computed value, plus the result-invariant knobs worth
-/// echoing (scheduler) and per-request observability (trace_path — the
-/// server qualifies it with the request id before running, so two
-/// concurrent requests never clobber each other's trace file).
+/// can change a computed value, plus per-request observability
+/// (collect_metrics, trace_path — the server qualifies the path with the
+/// request id before running, so two concurrent requests never clobber
+/// each other's trace file).
 /// num_threads is deliberately absent: results are thread-count invariant
 /// and the executor's long-lived pool decides the width.
 struct RunSpec {
   sta::AnalysisMode mode = sta::AnalysisMode::kOneStep;
   sta::DelayModel delay_model = sta::DelayModel::kTransistorLevel;
-  sta::Scheduler scheduler = sta::Scheduler::kLevelBarrier;
   double input_slew = 0.2e-9;
   double convergence_eps = 0.1e-12;
   std::int32_t max_passes = 10;
@@ -290,7 +290,6 @@ struct RunResultMsg {
   std::uint64_t gates_reused = 0;
   double runtime_seconds = 0.0;
   std::int32_t threads_used = 1;
-  std::uint8_t scheduler = 0;
   std::uint64_t missing_sink_wires = 0;
   // Budget / anytime status.
   bool budget_exhausted = false;

@@ -36,10 +36,11 @@ inline constexpr std::uint16_t kSnapKindGeneration = 1;  ///< u64 restart gen
 inline constexpr std::uint16_t kSnapKindBaselines = 2;   ///< memoized RunSpecs
 inline constexpr std::uint16_t kSnapKindDesign = 3;      ///< design recipe
 /// v2: RunSpec gained the MCMM scenario identity (name, vdd_scale,
-/// temperature, coupling derate), changing the encoded baseline/WAL-open
-/// payloads. v1 state files load as kVersionSkew and the server starts
-/// cold — never a half-decoded spec.
-inline constexpr std::uint16_t kSnapVersion = 2;
+/// temperature, coupling derate). v3: RunSpec lost its scheduler byte.
+/// Both change the encoded baseline/WAL-open payloads; older state files
+/// load as kVersionSkew and the server starts cold — never a half-decoded
+/// spec.
+inline constexpr std::uint16_t kSnapVersion = 3;
 
 class DesignSession {
  public:

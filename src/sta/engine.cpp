@@ -112,18 +112,6 @@ bool net_timing_identical(const NetTiming& a, const NetTiming& b) {
          event_identical(a.fall, b.fall);
 }
 
-const char* scheduler_name(Scheduler s) {
-  switch (s) {
-    case Scheduler::kLevelBarrier:
-      return "level-barrier";
-    case Scheduler::kByDependency:
-      return "by-dependency";
-    case Scheduler::kSoftPriority:
-      return "soft-priority";
-  }
-  return "unknown";
-}
-
 StaEngine::StaEngine(const DesignView& design, const StaOptions& options)
     : design_(design),
       options_(options),
@@ -365,12 +353,10 @@ delaycalc::OutputLoad StaEngine::classify_coupling(
     double t_a;
     // Pass-anchored snapshot: the neighbour's current-pass timing is
     // readable iff its static ready level (driver level + 1; 0 for primary
-    // inputs) does not exceed the victim's level — exactly the nets a
-    // barrier schedule completes before this level, independent of thread
-    // count, scheduler and execution order. The dependency schedule's DAG
-    // carries an edge from each such neighbour's driver, so the value is
-    // guaranteed written before this gate starts. A same- or later-level
-    // neighbour classifies through the conservative fallbacks below.
+    // inputs) does not exceed the victim's level — exactly the nets the
+    // level barrier completes before this level, independent of thread
+    // count and execution order. A same- or later-level neighbour
+    // classifies through the conservative fallbacks below.
     if (net_ready_level_[nb.neighbor] <= victim_level) {
       t_a = timing[nb.neighbor].quiet_time(neighbor_dir);
     } else if (config.previous != nullptr) {
@@ -651,6 +637,75 @@ void StaEngine::report_truncation(util::BudgetReason reason, int pass,
   sink_.report(d);
 }
 
+void StaEngine::run_gate(netlist::GateId g, const PassConfig& config,
+                         std::vector<NetTiming>& timing,
+                         std::size_t thread_id) {
+  const netlist::Netlist& nl = *design_.netlist;
+  // Per-gate exception isolation (kDegrade): a poisoned gate degrades to a
+  // pessimistic bound locally instead of propagating out of the thread
+  // pool and killing every worker's dispatch. compute_arc already converts
+  // solver DiagErrors into bound substitutions, so what reaches this
+  // outermost net are unexpected evaluation failures.
+  auto evaluate_gate = [&] {
+    if (options_.fault_policy == util::FaultPolicy::kDegrade) {
+      try {
+        process_gate(g, config, timing, thread_id);
+      } catch (const std::exception& ex) {
+        degrade_gate(g, config, timing, ex.what());
+      }
+      return;
+    }
+    process_gate(g, config, timing, thread_id);
+  };
+
+  if (config.active_gates != nullptr && !(*config.active_gates)[g]) {
+    // Esperance: keep the basis pass's (conservative) result. In a
+    // replayed pass the baseline did the same copy (the esperance mask is
+    // part of the pass signature), so this net differs from the baseline
+    // record exactly where the basis differed.
+    const netlist::Gate& gate = nl.gate(g);
+    const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+    timing[out] = (*config.previous_timing)[out];
+    timing[out].calculated = true;
+    if (config.value_dirty != nullptr) {
+      (*config.value_dirty)[out] =
+          config.basis_dirty != nullptr ? (*config.basis_dirty)[out] : 1;
+    }
+    return;
+  }
+  if (config.reuse_timing != nullptr) {
+    const netlist::Gate& gate = nl.gate(g);
+    const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+    if (gate_reusable(g, config)) {
+      // Incremental reuse: every input of this gate's evaluation — fanin
+      // events, neighbour quiet times, quiet-time basis, early activity,
+      // levels, parasitics, the cell itself — is bitwise unchanged from
+      // the baseline pass, so the cached output *is* what process_gate
+      // would recompute. That includes its diagnostics: re-emit the
+      // baseline's entries so the incremental report matches a
+      // from-scratch run.
+      timing[out] = (*config.reuse_timing)[out];
+      timing[out].calculated = true;
+      (*config.value_dirty)[out] = 0;
+      if (config.reuse_diags != nullptr) {
+        for (const util::Diagnostic& d : *config.reuse_diags) {
+          if (d.ctx.gate == static_cast<std::int64_t>(g)) sink_.report(d);
+        }
+      }
+      gates_reused_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    evaluate_gate();
+    // Value cut-off: a recomputed net that lands exactly on the baseline
+    // (e.g. the changed input was not the controlling arc) does not dirty
+    // its consumers.
+    (*config.value_dirty)[out] =
+        !net_timing_identical(timing[out], (*config.reuse_timing)[out]);
+    return;
+  }
+  evaluate_gate();
+}
+
 double StaEngine::run_pass(const PassConfig& config,
                            std::vector<NetTiming>& timing,
                            std::vector<EndpointArrival>& endpoints,
@@ -675,92 +730,16 @@ double StaEngine::run_pass(const PassConfig& config,
     timing[pi].calculated = true;
   }
 
-  // Parallel traversal over gates, scheduler-selected. Gates write only
-  // their own output net; the only cross-gate reads are fanin events and
-  // coupling neighbours, both admitted by static structure (the fanin edge
-  // set resp. the pass-anchored ready-level predicate of
-  // classify_coupling), so the computed values are independent of thread
-  // count, scheduler and execution order.
+  // Parallel traversal over gates, level by level. Gates write only their
+  // own output net; the only cross-gate reads are fanin events and coupling
+  // neighbours, both admitted by static structure (the fanin edge set resp.
+  // the pass-anchored ready-level predicate of classify_coupling), so the
+  // computed values are independent of thread count and execution order.
   const std::vector<std::uint32_t>& level_begin = design_.dag->level_begin;
-
-  // Per-gate exception isolation (kDegrade): a poisoned gate degrades to a
-  // pessimistic bound locally instead of propagating out of the thread
-  // pool and killing every worker's dispatch. compute_arc already converts
-  // solver DiagErrors into bound substitutions, so what reaches this
-  // outermost net are unexpected evaluation failures.
-  auto evaluate_gate = [&](netlist::GateId g, std::size_t thread_id) {
-    if (options_.fault_policy == util::FaultPolicy::kDegrade) {
-      try {
-        process_gate(g, config, timing, thread_id);
-      } catch (const std::exception& ex) {
-        degrade_gate(g, config, timing, ex.what());
-      }
-      return;
-    }
-    process_gate(g, config, timing, thread_id);
-  };
-
-  // The per-gate work item both schedulers dispatch: esperance skip /
-  // incremental reuse / full evaluation.
-  const GateTask task = [&](netlist::GateId g, std::size_t thread_id) {
-    if (config.active_gates != nullptr && !(*config.active_gates)[g]) {
-      // Esperance: keep the basis pass's (conservative) result. In a
-      // replayed pass the baseline did the same copy (the esperance
-      // mask is part of the pass signature), so this net differs
-      // from the baseline record exactly where the basis differed.
-      const netlist::Gate& gate = nl.gate(g);
-      const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-      timing[out] = (*config.previous_timing)[out];
-      timing[out].calculated = true;
-      if (config.value_dirty != nullptr) {
-        (*config.value_dirty)[out] =
-            config.basis_dirty != nullptr ? (*config.basis_dirty)[out] : 1;
-      }
-      return;
-    }
-    if (config.reuse_timing != nullptr) {
-      const netlist::Gate& gate = nl.gate(g);
-      const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-      if (gate_reusable(g, config)) {
-        // Incremental reuse: every input of this gate's evaluation —
-        // fanin events, neighbour quiet times, quiet-time basis,
-        // early activity, levels, parasitics, the cell itself — is
-        // bitwise unchanged from the baseline pass, so the cached
-        // output *is* what process_gate would recompute. That
-        // includes its diagnostics: re-emit the baseline's entries
-        // so the incremental report matches a from-scratch run.
-        timing[out] = (*config.reuse_timing)[out];
-        timing[out].calculated = true;
-        (*config.value_dirty)[out] = 0;
-        if (config.reuse_diags != nullptr) {
-          for (const util::Diagnostic& d : *config.reuse_diags) {
-            if (d.ctx.gate == static_cast<std::int64_t>(g)) {
-              sink_.report(d);
-            }
-          }
-        }
-        gates_reused_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      evaluate_gate(g, thread_id);
-      // Value cut-off: a recomputed net that lands exactly on the
-      // baseline (e.g. the changed input was not the controlling
-      // arc) does not dirty its consumers.
-      (*config.value_dirty)[out] =
-          !net_timing_identical(timing[out], (*config.reuse_timing)[out]);
-      return;
-    }
-    evaluate_gate(g, thread_id);
-  };
-
   status = PassStatus{};
   status.total_levels = level_begin.empty() ? 0 : level_begin.size() - 1;
 
-  if (options_.scheduler == Scheduler::kLevelBarrier) {
-    run_levels(config, task, timing, status);
-  } else {
-    run_dependencies(config, task, timing, status);
-  }
+  run_levels(config, timing, status);
 
   // Endpoint arrivals: D-pin sinks add their Elmore shift, primary outputs
   // read the net arrival directly.
@@ -814,10 +793,9 @@ double StaEngine::run_pass(const PassConfig& config,
   return worst;
 }
 
-void StaEngine::run_levels(const PassConfig& config, const GateTask& task,
+void StaEngine::run_levels(const PassConfig& config,
                            std::vector<NetTiming>& timing,
                            PassStatus& status) {
-  (void)timing;  // written through `task`; kept for signature symmetry
   const std::vector<netlist::GateId>& order = design_.dag->level_order;
   const std::vector<std::uint32_t>& level_begin = design_.dag->level_begin;
 
@@ -864,7 +842,7 @@ void StaEngine::run_levels(const PassConfig& config, const GateTask& task,
     pool_->parallel_for(
         level_begin[lvl], level_begin[lvl + 1],
         [&](std::size_t i, std::size_t thread_id) {
-          task(order[i], thread_id);
+          run_gate(order[i], config, timing, thread_id);
         },
         &governor_.abort_flag());
     const std::uint64_t level_t1 =
@@ -883,314 +861,6 @@ void StaEngine::run_levels(const PassConfig& config, const GateTask& task,
       metrics_->observe(0, EngineHistogram::kLevelGates, level_gates);
     }
   }
-}
-
-void StaEngine::run_dependencies(const PassConfig& config,
-                                 const GateTask& task,
-                                 std::vector<NetTiming>& timing,
-                                 PassStatus& status) {
-  const netlist::Netlist& nl = *design_.netlist;
-  const std::vector<netlist::GateId>& order = design_.dag->level_order;
-  const std::vector<std::uint32_t>& level_begin = design_.dag->level_begin;
-  const std::vector<std::uint32_t>& glevel = design_.dag->gate_level;
-  const std::size_t num_levels = status.total_levels;
-  const std::size_t num_gates = nl.num_gates();
-
-  // Epoch-0 checkpoint: the serial pre-dispatch twin of the barrier
-  // schedule's check before level 0 — on a complete pass both schedulers
-  // take exactly total_levels checkpoints (this one plus one per level
-  // boundary crossed below), so governor_checks is scheduler-invariant.
-  {
-    util::BudgetReason br;
-    {
-      util::TraceSpan check_span(tbuf(0), "sta.checkpoint", "pass",
-                                 config.pass_index, "epoch",
-                                 static_cast<std::int64_t>(0));
-      const std::uint64_t c0 = metrics_ != nullptr ? util::monotonic_ns() : 0;
-      br = governor_.checkpoint(
-          waveform_calcs_.load(std::memory_order_relaxed));
-      if (metrics_ != nullptr) {
-        metrics_->add_governor_wall(
-            static_cast<double>(util::monotonic_ns() - c0) * 1e-9);
-      }
-    }
-    if (br != util::BudgetReason::kNone) {
-      if (governor_.hard_exhausted() ||
-          options_.budget.policy == util::BudgetPolicy::kStrictBudget) {
-        throw_budget(br, config.pass_index, 0);
-      }
-      status.truncated = true;
-      util::trace_instant(tbuf(0), "sta.budget_exhausted", "pass",
-                          config.pass_index,
-                          "level", static_cast<std::int64_t>(0));
-      return;
-    }
-  }
-  if (num_gates == 0) return;
-
-  build_dep_graph();
-
-  // Atomic fanin countdown, seeded from the static dependency DAG. The
-  // decrement that reaches zero publishes the successor: acq_rel makes
-  // every predecessor's writes (its output net, its value_dirty slot)
-  // visible to whichever worker later claims the pushed gate (the pool's
-  // queue transfer supplies the claim-side ordering).
-  std::vector<std::atomic<std::uint32_t>> preds(num_gates);
-  for (std::size_t g = 0; g < num_gates; ++g) {
-    preds[g].store(dep_->pred_count[g], std::memory_order_relaxed);
-  }
-  std::atomic<std::size_t> completed{0};
-  // Cooperative soft-stop (run_dynamic contract: every gate that starts
-  // also finishes; nothing further is claimed once this is set).
-  std::atomic<bool> stop{false};
-
-  // Count-based governor epochs. The per-level serial checkpoint home is
-  // gone, so checkpoints fire when the completed-gate count crosses a
-  // level boundary of the static order — same boundaries, same count, same
-  // truncation contract as the barrier schedule. epoch_mutex serializes
-  // the crossing handling (in order, exactly once per epoch); the atomic
-  // next_boundary keeps the per-gate fast path to one relaxed load.
-  std::mutex epoch_mutex;
-  std::size_t next_epoch = 1;
-  std::atomic<std::size_t> next_boundary{
-      num_levels >= 2 ? static_cast<std::size_t>(level_begin[1])
-                      : std::numeric_limits<std::size_t>::max()};
-  std::vector<std::uint64_t> epoch_end_ns(num_levels + 1, 0);
-  double governor_wall = 0.0;
-
-  const bool soft_priority = options_.scheduler == Scheduler::kSoftPriority;
-
-  auto drain_epochs = [&](std::size_t thread_id) {
-    std::lock_guard<std::mutex> lock(epoch_mutex);
-    while (next_epoch < num_levels &&
-           completed.load(std::memory_order_relaxed) >=
-               level_begin[next_epoch] &&
-           !stop.load(std::memory_order_relaxed)) {
-      if (metrics_ != nullptr) {
-        epoch_end_ns[next_epoch] = util::monotonic_ns();
-      }
-      util::BudgetReason br;
-      {
-        util::TraceSpan check_span(tbuf(thread_id), "sta.checkpoint", "pass",
-                                   config.pass_index, "epoch",
-                                   static_cast<std::int64_t>(next_epoch));
-        const std::uint64_t c0 =
-            metrics_ != nullptr ? util::monotonic_ns() : 0;
-        br = governor_.checkpoint(
-            waveform_calcs_.load(std::memory_order_relaxed));
-        if (metrics_ != nullptr) {
-          governor_wall +=
-              static_cast<double>(util::monotonic_ns() - c0) * 1e-9;
-        }
-      }
-      if (br != util::BudgetReason::kNone) {
-        // Soft (or strict-policy) exhaustion: stop claiming, let in-flight
-        // gates finish; the hard/strict decision is taken on the engine
-        // thread after the dispatch drains. Hard conditions additionally
-        // raise the governor's abort flag, which the pool polls itself.
-        stop.store(true, std::memory_order_release);
-        break;
-      }
-      ++next_epoch;
-      next_boundary.store(next_epoch < num_levels
-                              ? static_cast<std::size_t>(
-                                    level_begin[next_epoch])
-                              : std::numeric_limits<std::size_t>::max(),
-                          std::memory_order_relaxed);
-    }
-  };
-
-  const util::ThreadPool::LoopFn fn = [&](std::size_t item,
-                                          std::size_t thread_id) {
-    const netlist::GateId g = static_cast<netlist::GateId>(item);
-    task(g, thread_id);
-    const std::uint32_t s_begin = dep_->succ_offset[g];
-    const std::uint32_t s_end = dep_->succ_offset[g + 1];
-    for (std::uint32_t si = s_begin; si < s_end; ++si) {
-      const std::uint32_t s = dep_->succ[si];
-      if (preds[s].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        pool_->push_ready(s, soft_priority ? glevel[s] : 0);
-      }
-    }
-    const std::size_t completed_now =
-        completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (completed_now >= next_boundary.load(std::memory_order_relaxed)) {
-      drain_epochs(thread_id);
-    }
-  };
-
-  util::TraceSpan dispatch_span(tbuf(0), "sta.dispatch", "pass",
-                                config.pass_index, "gates",
-                                static_cast<std::int64_t>(num_gates));
-  if (metrics_ != nullptr) epoch_end_ns[0] = util::monotonic_ns();
-  pool_->run_dynamic(dep_->roots, soft_priority ? num_levels : 1, fn,
-                     &governor_.abort_flag(), &stop);
-  const std::uint64_t dispatch_end =
-      metrics_ != nullptr ? util::monotonic_ns() : 0;
-  dispatch_span.finish();
-
-  // A hard condition (hard memory cap, hard cancel) aborted the dispatch:
-  // arbitrary ready gates were skipped, so the timing is unusable — the
-  // run is abandoned outright regardless of the anytime policy.
-  if (governor_.hard_exhausted()) {
-    throw_budget(governor_.reason(), config.pass_index, next_epoch);
-  }
-  if (stop.load(std::memory_order_acquire)) {
-    if (options_.budget.policy == util::BudgetPolicy::kStrictBudget) {
-      throw_budget(governor_.reason(), config.pass_index, next_epoch);
-    }
-    status.truncated = true;
-    util::trace_instant(tbuf(0), "sta.budget_exhausted", "pass",
-                        config.pass_index,
-                        "level", static_cast<std::int64_t>(next_epoch));
-  }
-
-  if (!status.truncated) {
-    status.completed_levels = num_levels;
-  } else {
-    // Longest level prefix whose gates all completed. "Every gate that
-    // starts also finishes" plus the fanin countdown make the completed
-    // set downward-closed along every dependency chain, so each completed
-    // gate carries its exact full-pass value — but an independent cone may
-    // have run ahead of the stop, hence the per-level scan instead of a
-    // counter. The anytime contract (the prefix is bitwise what the full
-    // pass computes, unreached endpoints are explicitly untimed) is the
-    // same as the barrier schedule's.
-    std::size_t lvl = 0;
-    for (; lvl < num_levels; ++lvl) {
-      bool complete = true;
-      for (std::size_t i = level_begin[lvl]; i < level_begin[lvl + 1]; ++i) {
-        const netlist::Gate& gate = nl.gate(order[i]);
-        if (!timing[gate.pin_nets[gate.cell->output_pin()]].calculated) {
-          complete = false;
-          break;
-        }
-      }
-      if (!complete) break;
-    }
-    status.completed_levels = lvl;
-  }
-
-  if (metrics_ != nullptr) {
-    // Per-level walls, reconstructed from the epoch-crossing timestamps so
-    // the barrier and dependency schedules fill the same per-pass arrays
-    // (identical level sizes; walls are measurements and differ). Only
-    // fully-bounded epochs are reported; on a complete pass the last
-    // epoch ends when the dispatch drains.
-    epoch_end_ns[num_levels] = dispatch_end;
-    const std::size_t full_levels =
-        status.truncated ? (next_epoch > 0 ? next_epoch - 1 : 0) : num_levels;
-    for (std::size_t lvl = 0; lvl < full_levels; ++lvl) {
-      const std::size_t level_gates = level_begin[lvl + 1] - level_begin[lvl];
-      metrics_->add_level(
-          level_gates,
-          static_cast<double>(epoch_end_ns[lvl + 1] - epoch_end_ns[lvl]) *
-              1e-9);
-      metrics_->observe(0, EngineHistogram::kLevelGates, level_gates);
-      if (util::TraceBuffer* tb = tbuf(0)) {
-        // Synthetic per-level spans on the serial timeline, so level-based
-        // trace consumers (bench coverage checks) work in both modes.
-        util::TraceEvent ev;
-        ev.name = "sta.level";
-        ev.t0_ns = epoch_end_ns[lvl];
-        ev.t1_ns = epoch_end_ns[lvl + 1];
-        ev.arg0_name = "level";
-        ev.arg0 = static_cast<std::int64_t>(lvl);
-        ev.arg1_name = "gates";
-        ev.arg1 = static_cast<std::int64_t>(level_gates);
-        tb->push(ev);
-      }
-    }
-    metrics_->add_governor_wall(governor_wall);
-  }
-}
-
-void StaEngine::build_dep_graph() {
-  if (dep_ != nullptr && dep_->built) return;
-  const netlist::Netlist& nl = *design_.netlist;
-  const std::vector<std::uint32_t>& glevel = design_.dag->gate_level;
-  const std::size_t ng = nl.num_gates();
-  const bool coupling_aware = options_.mode == AnalysisMode::kOneStep ||
-                              options_.mode == AnalysisMode::kIterative;
-
-  // MCMM sharing: the graph is pure structure (netlist + levels +
-  // parasitics + the coupling_aware flag), identical for every scenario of
-  // one invocation — adopt a published one, or publish ours below.
-  std::shared_ptr<DepGraph>* shared_slot = nullptr;
-  if (options_.shared != nullptr) {
-    shared_slot = coupling_aware ? &options_.shared->dep_coupled
-                                 : &options_.shared->dep_plain;
-    if (*shared_slot != nullptr && (*shared_slot)->built) {
-      dep_ = *shared_slot;
-      return;
-    }
-  }
-  dep_ = std::make_shared<DepGraph>();
-  DepGraph& dep = *dep_;
-
-  // Predecessors of a gate = everything its task may read that another
-  // task of the same pass writes: the drivers of its timed fanin nets
-  // (process_gate's input events, gate_reusable's fanin value_dirty), and
-  // in coupling-aware modes the drivers of coupling neighbours of its
-  // output net with a lower level — exactly the neighbours the
-  // pass-anchored snapshot admits (classify_coupling / gate_reusable's
-  // mirror rule). Every edge strictly increases the gate level (levelize
-  // guarantees it for timed fanins; the neighbour filter enforces it), so
-  // the graph is acyclic and a full drain completes all gates.
-  auto for_each_pred = [&](netlist::GateId g, const auto& emit) {
-    const netlist::Gate& gate = nl.gate(g);
-    for (std::uint32_t p = 0; p < gate.pin_nets.size(); ++p) {
-      if (!netlist::is_timed_input(*gate.cell, p)) continue;
-      const netlist::GateId d = nl.net(gate.pin_nets[p]).driver.gate;
-      if (d != netlist::kNoGate) emit(d);
-    }
-    if (coupling_aware) {
-      const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-      for (const extract::NeighborCap& nb :
-           design_.parasitics->net(out).couplings) {
-        const netlist::GateId d = nl.net(nb.neighbor).driver.gate;
-        if (d != netlist::kNoGate && glevel[d] < glevel[g]) emit(d);
-      }
-    }
-  };
-
-  dep.pred_count.assign(ng, 0);
-  dep.succ_offset.assign(ng + 1, 0);
-  // Stamp-dedup: a net can be both fanin and coupling neighbour, and two
-  // pins can share a fanin net — one edge per (pred, gate) pair.
-  constexpr std::uint32_t kNoStamp = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> stamp(ng, kNoStamp);
-  for (netlist::GateId g = 0; g < ng; ++g) {
-    for_each_pred(g, [&](netlist::GateId d) {
-      if (stamp[d] == g) return;
-      stamp[d] = g;
-      ++dep.pred_count[g];
-      ++dep.succ_offset[d + 1];
-    });
-  }
-  for (std::size_t i = 1; i <= ng; ++i) {
-    dep.succ_offset[i] += dep.succ_offset[i - 1];
-  }
-  dep.succ.assign(dep.succ_offset[ng], 0);
-  std::vector<std::uint32_t> cursor(dep.succ_offset.begin(),
-                                    dep.succ_offset.end() - 1);
-  stamp.assign(ng, kNoStamp);
-  for (netlist::GateId g = 0; g < ng; ++g) {
-    for_each_pred(g, [&](netlist::GateId d) {
-      if (stamp[d] == g) return;
-      stamp[d] = g;
-      dep.succ[cursor[d]++] = g;
-    });
-  }
-  dep.roots.clear();
-  for (netlist::GateId g = 0; g < ng; ++g) {
-    if (dep.pred_count[g] == 0) {
-      dep.roots.push_back(
-          util::ThreadPool::ReadyItem{g, glevel[g]});
-    }
-  }
-  dep.built = true;
-  if (shared_slot != nullptr) *shared_slot = dep_;
 }
 
 bool StaEngine::gate_reusable(netlist::GateId gate_id,
@@ -1299,7 +969,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
   sink_.clear();
   if (options_.fault_injector != nullptr) options_.fault_injector->reset();
   result.threads_used = static_cast<int>(pool_->num_threads());
-  result.scheduler = options_.scheduler;
   if (trace_out != nullptr) *trace_out = RunTrace{};
 
   // Device-table seam guard: lookups beyond the sampled grid silently
@@ -1327,8 +996,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
 
   // Pass-anchored coupling snapshot as static structure (classify_coupling
   // reads it on every neighbour). Rebuilt per run — the DAG may have been
-  // incrementally re-levelized between runs of a reused engine — and the
-  // dependency graph derived from the same levels is invalidated with it.
+  // incrementally re-levelized between runs of a reused engine.
   // An MCMM invocation (StaOptions::shared) runs its scenarios over one
   // immutable design, so the snapshot is built once and adopted by every
   // later scenario; adoption is bitwise what the loop below computes.
@@ -1354,7 +1022,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
         options_.shared->net_ready_level = net_ready_level_;
       }
     }
-    dep_.reset();
   }
 
   // Reuse needs both the trace and the seed set; anything less means a
@@ -1618,7 +1285,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     const util::ThreadPool::Timing pt = pool_->timing_total();
     result.metrics.pool_busy_ns = pt.busy_ns;
     result.metrics.pool_wait_ns = pt.wait_ns;
-    result.metrics.pool_ready_wait_ns = pt.ready_wait_ns;
     if (result.metrics.run_wall_seconds > 0.0) {
       result.metrics.pool_utilization =
           static_cast<double>(pt.busy_ns) * 1e-9 /

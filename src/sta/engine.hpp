@@ -10,29 +10,20 @@
 // value, and the worst-case waveform is computed and inserted into the
 // victim's event queue. Complexity stays linear in the graph size.
 //
-// The pass is parallel over gates with two interchangeable schedulers
-// (StaOptions::scheduler, following the schedule menu of parallel STA
-// engines): kLevelBarrier runs one parallel-for per topological level with
-// a barrier in between ("TopoBarrier"); kByDependency drops the barriers —
-// a gate is dispatched the moment its fanin countdown (seeded from the
-// dependency DAG) reaches zero ("ByDependency"; kSoftPriority additionally
-// orders the ready queue by level as a hint). Coupling classification
-// reads neighbour nets that may be computed concurrently; to stay
-// deterministic for any thread count AND scheduler, it is anchored to pass
-// start: a neighbour is readable iff its static ready level (driver level
-// + 1; 0 for primary inputs) is <= the victim gate's level — exactly the
-// nets a barrier schedule would have completed before the victim's level —
-// and everything else falls back to §5.1's conservative coupling
-// assumption (or the previous pass's quiet times) regardless of execution
-// order. The dependency DAG carries an edge from every such readable
-// neighbour's driver too, so the dynamic schedule never reads a net the
-// predicate admits before it is actually written.
+// The pass is parallel over gates: one parallel-for per topological level
+// with a barrier in between ("TopoBarrier"). Coupling classification reads
+// neighbour nets that may be computed concurrently; to stay deterministic
+// for any thread count, it is anchored to pass start: a neighbour is
+// readable iff its static ready level (driver level + 1; 0 for primary
+// inputs) is <= the victim gate's level — exactly the nets the barrier
+// completed before the victim's level — and everything else falls back to
+// §5.1's conservative coupling assumption (or the previous pass's quiet
+// times) regardless of execution order.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -82,29 +73,6 @@ enum class DelayModel {
   kNldm,
 };
 
-/// How a pass's gate evaluations are scheduled onto the thread pool. All
-/// three produce bitwise-identical StaResults (including integer metrics
-/// counters) at any thread count — the coupling snapshot is pass-anchored,
-/// so no computed value depends on execution order; only the wall-clock
-/// profile differs.
-enum class Scheduler {
-  /// One parallel-for per topological level with a barrier in between.
-  /// Narrow levels leave workers idle at the barrier (visible in the pool
-  /// wait_ns metrics), but the schedule is the simplest to reason about.
-  kLevelBarrier,
-  /// Dependency-driven: a gate becomes ready when its fanin countdown hits
-  /// zero and runs as soon as a worker is free; no barriers. Governor
-  /// checkpoints become count-based epochs at the same level boundaries.
-  kByDependency,
-  /// kByDependency plus a soft priority: the ready queue prefers lower
-  /// topological levels, approximating the barrier order without its cost.
-  kSoftPriority,
-};
-
-/// Stable lowercase name ("level-barrier", "by-dependency",
-/// "soft-priority") for reports and the bench JSON schema.
-const char* scheduler_name(Scheduler s);
-
 /// One operating scenario of a multi-corner/multi-scenario (MCMM) run: a
 /// V/T corner of the alpha-power device model plus a per-scenario coupling
 /// treatment. Scenarios whose (vdd_scale, temperature_c) bits match share
@@ -129,20 +97,6 @@ struct Scenario {
   double coupling_derate = 1.0;
 };
 
-/// Gate dependency DAG for the kByDependency/kSoftPriority schedulers
-/// (StaEngine::build_dep_graph): CSR successors + initial predecessor
-/// counts + zero-predecessor roots. Pure structure derived from the
-/// levelized netlist and parasitics (plus whether the mode is
-/// coupling-aware), so every scenario of one MCMM invocation shares one
-/// instance per mode family (ScenarioShared).
-struct DepGraph {
-  bool built = false;
-  std::vector<std::uint32_t> pred_count;   ///< per gate, initial fanin count
-  std::vector<std::uint32_t> succ_offset;  ///< CSR row starts (gates + 1)
-  std::vector<std::uint32_t> succ;         ///< CSR successor gate ids
-  std::vector<util::ThreadPool::ReadyItem> roots;  ///< pred_count == 0
-};
-
 /// Cross-scenario shared front-end structure of one MCMM invocation,
 /// borrowed via StaOptions::shared. The first engine to need a piece
 /// builds and publishes it; later engines adopt it instead of rebuilding.
@@ -154,8 +108,6 @@ struct ScenarioShared {
   /// Pass-anchored coupling snapshot (see StaEngine::net_ready_level_).
   /// Empty = not built yet.
   std::vector<std::uint32_t> net_ready_level;
-  std::shared_ptr<DepGraph> dep_plain;    ///< non-coupling-aware modes
-  std::shared_ptr<DepGraph> dep_coupled;  ///< kOneStep / kIterative
 };
 
 struct StaOptions {
@@ -188,8 +140,8 @@ struct StaOptions {
   double coupling_derate = 1.0;
   /// MCMM scenario list, consumed by run_mcmm (sta/mcmm.hpp): one
   /// invocation runs every scenario while sharing the netlist, parasitics,
-  /// levelization, dependency DAG and ready-level snapshot, and scenarios
-  /// on the same V/T corner share device tables + NLDM characterization.
+  /// levelization and ready-level snapshot, and scenarios on the same V/T
+  /// corner share device tables + NLDM characterization.
   /// A plain run_sta / StaEngine::run ignores the list (it runs exactly
   /// the options it was given); empty means single-scenario.
   std::vector<Scenario> scenarios;
@@ -201,10 +153,6 @@ struct StaOptions {
   /// 1 = serial. Results are bit-identical for any value — the coupling
   /// classification is anchored to pass start (static ready levels).
   int num_threads = 0;
-  /// Gate dispatch schedule (see Scheduler). Bitwise result-invariant;
-  /// kLevelBarrier is the compatible default, kByDependency removes the
-  /// per-level barriers.
-  Scheduler scheduler = Scheduler::kLevelBarrier;
   /// Externally-owned worker pool (borrowed; must outlive the engine). When
   /// set, the engine runs its parallel passes on it instead of spawning a
   /// private pool, so a long-lived caller (the analysis service's executor
@@ -278,9 +226,6 @@ struct StaResult {
   std::size_t waveform_calculations = 0;
   double runtime_seconds = 0.0;
   int threads_used = 1;  ///< resolved worker count of the parallel pass
-  /// The schedule that produced this result (echo of StaOptions::scheduler;
-  /// results are bitwise identical across all values).
-  Scheduler scheduler = Scheduler::kLevelBarrier;
   /// Sinks encountered during propagation with no entry in the extracted
   /// parasitics (treated as zero wire delay). Nonzero means the extraction
   /// has gaps — investigate instead of trusting the bound.
@@ -459,44 +404,25 @@ class StaEngine {
     std::vector<netlist::NetId> untimed_endpoints;
   };
 
-  /// One full BFS pass (parallel, scheduler-selected); fills `timing` and
+  /// One full BFS pass (parallel, level by level); fills `timing` and
   /// returns the longest-path delay. Checks the run governor at every
-  /// level boundary (barrier mode) or count-based epoch (dependency mode);
-  /// on soft exhaustion finishes nothing further and reports the cut in
-  /// `status`; on a hard condition or under kStrictBudget throws
-  /// util::DiagError(kBudgetExhausted).
+  /// level boundary; on soft exhaustion finishes nothing further and
+  /// reports the cut in `status`; on a hard condition or under
+  /// kStrictBudget throws util::DiagError(kBudgetExhausted).
   double run_pass(const PassConfig& config, std::vector<NetTiming>& timing,
                   std::vector<EndpointArrival>& endpoints,
                   EndpointArrival& critical, PassStatus& status);
 
-  /// The per-gate work item shared by both schedulers: esperance skip /
-  /// incremental reuse / process_gate for one gate, on `thread_id`'s
-  /// scratch.
-  using GateTask = std::function<void(netlist::GateId, std::size_t)>;
-
-  /// kLevelBarrier traversal: one pool parallel_for per level, serial
+  /// Level-barrier traversal: one pool parallel_for per level, serial
   /// governor checkpoint (own trace span + governor-wall metric) before
   /// each, level walls measured strictly around the dispatch.
-  void run_levels(const PassConfig& config, const GateTask& task,
-                  std::vector<NetTiming>& timing, PassStatus& status);
+  void run_levels(const PassConfig& config, std::vector<NetTiming>& timing,
+                  PassStatus& status);
 
-  /// kByDependency / kSoftPriority traversal: seeds the pool's dynamic
-  /// loop from the dependency DAG's roots; each finished gate counts down
-  /// its successors and pushes the ones that hit zero. Governor
-  /// checkpoints fire as count-based epochs when the completed-gate count
-  /// crosses a level boundary — same checkpoint count and truncation
-  /// contract as the barrier schedule ("every gate that starts also
-  /// finishes; the truncated prefix is conservative").
-  void run_dependencies(const PassConfig& config, const GateTask& task,
-                        std::vector<NetTiming>& timing, PassStatus& status);
-
-  /// Build dep_ (once per engine; pure structure). Predecessors of a gate:
-  /// the dedup'd drivers of its timed fanin nets, plus — in coupling-aware
-  /// modes — the drivers of coupling neighbours of its output net with a
-  /// lower gate level (exactly the neighbours the pass-anchored snapshot
-  /// lets classify_coupling read). All edges strictly increase gate level,
-  /// so the graph is acyclic.
-  void build_dep_graph();
+  /// The per-gate work item of a pass: esperance skip / incremental reuse /
+  /// process_gate for one gate, on `thread_id`'s scratch.
+  void run_gate(netlist::GateId gate, const PassConfig& config,
+                std::vector<NetTiming>& timing, std::size_t thread_id);
 
   /// Incremental reuse decision for one gate in a replayable pass: true iff
   /// every value its evaluation reads is bitwise unchanged from the
@@ -516,8 +442,8 @@ class StaEngine {
   /// Decide the coupling load split for one victim arc evaluation.
   /// `victim_level` anchors the snapshot to pass start: a neighbour's
   /// current-pass timing is readable iff net_ready_level_[neighbour] <=
-  /// victim_level (static structure, identical for every scheduler and
-  /// thread count); otherwise §5.1's conservative assumption or the
+  /// victim_level (static structure, identical for every thread count);
+  /// otherwise §5.1's conservative assumption or the
   /// previous pass's quiet times apply. `victim_settle_upper` enables the
   /// timing-window refinement: an aggressor whose earliest opposite
   /// activity starts at or after it is grounded (pass +inf to disable).
@@ -600,11 +526,6 @@ class StaEngine {
   /// readable — matching the old per-level snapshot, where such nets never
   /// got a calculated flag). Built once per engine in run().
   std::vector<std::uint32_t> net_ready_level_;
-  /// Gate dependency DAG for the kByDependency/kSoftPriority schedulers
-  /// (see build_dep_graph; type at namespace scope so ScenarioShared can
-  /// hand one instance to every scenario of an MCMM invocation). Built
-  /// lazily once per run — or adopted from StaOptions::shared.
-  std::shared_ptr<DepGraph> dep_;
   /// Bounded thread-safe diagnostic collector (cleared at every run).
   util::DiagSink sink_;
   /// Lazily-built NLDM calculator backing bound_arc in transistor-level

@@ -1,12 +1,11 @@
 // Multi-corner/multi-scenario (MCMM) driver: run every scenario of
 // StaOptions::scenarios over one design in a single invocation, sharing
 // everything scenario-invariant — netlist, parasitics, levelization, the
-// worker pool, the gate dependency DAG and the pass-anchored ready-level
-// snapshot (ScenarioShared) — and sharing device tables plus NLDM
-// characterization between scenarios on the same V/T corner
-// (ScenarioContext). Each scenario's StaResult is bitwise identical to a
-// standalone run_sta of that scenario (same corner view, same
-// apply_scenario options), for any thread count and scheduler; the sharing
+// worker pool and the pass-anchored ready-level snapshot (ScenarioShared)
+// — and sharing device tables plus NLDM characterization between scenarios
+// on the same V/T corner (ScenarioContext). Each scenario's StaResult is
+// bitwise identical to a standalone run_sta of that scenario (same corner
+// view, same apply_scenario options), for any thread count; the sharing
 // only removes redundant construction, never changes a computed value.
 #pragma once
 

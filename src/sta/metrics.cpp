@@ -180,12 +180,7 @@ std::string format_metrics_summary(const MetricsSnapshot& m) {
     os << "  pool: utilization " << std::fixed << std::setprecision(1)
        << m.pool_utilization * 100.0 << "% (busy "
        << static_cast<double>(m.pool_busy_ns) * 1e-9 << " s, wait "
-       << static_cast<double>(m.pool_wait_ns) * 1e-9 << " s";
-    if (m.pool_ready_wait_ns > 0) {
-      os << ", ready-wait " << static_cast<double>(m.pool_ready_wait_ns) * 1e-9
-         << " s";
-    }
-    os << ")\n";
+       << static_cast<double>(m.pool_wait_ns) * 1e-9 << " s)\n";
   }
   if (m.trace_events > 0 || m.trace_dropped > 0) {
     os << "  trace: " << m.trace_events << " events (" << m.trace_dropped

@@ -73,10 +73,10 @@ struct PassMetrics {
   std::vector<std::uint64_t> level_gates;
   /// Per-level dispatch wall only — the serial governor checkpoints are
   /// attributed to governor_wall_seconds instead, so the level walls stay
-  /// an honest Table-2-style breakdown in both scheduler modes.
+  /// an honest Table-2-style breakdown.
   std::vector<double> level_wall_seconds;
-  /// Serial governor checkpoint time of this pass (level boundaries in
-  /// barrier mode, count-based epochs in dependency mode).
+  /// Serial governor checkpoint time of this pass (one per level
+  /// boundary).
   double governor_wall_seconds = 0.0;
 };
 
@@ -98,9 +98,6 @@ struct MetricsSnapshot {
   double run_wall_seconds = 0.0;
   std::uint64_t pool_busy_ns = 0;
   std::uint64_t pool_wait_ns = 0;
-  /// Time executed dynamic-dispatch items sat ready in the pool's queue
-  /// before being claimed (kByDependency/kSoftPriority only; 0 otherwise).
-  std::uint64_t pool_ready_wait_ns = 0;
   /// sum(busy) / (run wall * threads); 0 when unknown. Computed from
   /// timing_total() at run end — the pool's quiescence contract makes the
   /// numbers exact, never torn mid-loop.

@@ -26,12 +26,10 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   const std::size_t n = std::max<std::size_t>(1, num_threads);
   busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   wait_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-  ready_wait_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   exit_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   for (std::size_t t = 0; t < n; ++t) {
     busy_ns_[t].store(0, std::memory_order_relaxed);
     wait_ns_[t].store(0, std::memory_order_relaxed);
-    ready_wait_ns_[t].store(0, std::memory_order_relaxed);
     exit_ns_[t].store(0, std::memory_order_relaxed);
   }
   workers_.reserve(n - 1);
@@ -70,7 +68,6 @@ ThreadPool::Timing ThreadPool::timing_total() const {
   for (std::size_t i = 0; i < n; ++i) {
     t.busy_ns += busy_ns_[i].load(std::memory_order_relaxed);
     t.wait_ns += wait_ns_[i].load(std::memory_order_relaxed);
-    t.ready_wait_ns += ready_wait_ns_[i].load(std::memory_order_relaxed);
   }
   t.loops = loops_.load(std::memory_order_relaxed);
   return t;
@@ -82,7 +79,6 @@ void ThreadPool::reset_timing() {
   for (std::size_t i = 0; i < n; ++i) {
     busy_ns_[i].store(0, std::memory_order_relaxed);
     wait_ns_[i].store(0, std::memory_order_relaxed);
-    ready_wait_ns_[i].store(0, std::memory_order_relaxed);
   }
   loops_.store(0, std::memory_order_relaxed);
 }
@@ -124,96 +120,9 @@ void ThreadPool::run_loop(std::size_t thread_id) {
   }
 }
 
-void ThreadPool::run_dynamic_loop(std::size_t thread_id) {
-  const bool timed = timing_enabled_.load(std::memory_order_relaxed);
-  std::uint64_t t_enter = 0;
-  std::uint64_t cv_wait_total = 0;
-  if (timed) {
-    t_enter = monotonic_ns();
-    const std::uint64_t dispatched =
-        dispatch_ns_.load(std::memory_order_relaxed);
-    if (t_enter > dispatched) {
-      wait_ns_[thread_id].fetch_add(t_enter - dispatched,
-                                    std::memory_order_relaxed);
-    }
-  }
-  const LoopFn& fn = *fn_;
-  const std::atomic<bool>* abort = abort_;
-  const std::atomic<bool>* stop = dyn_stop_;
-  for (;;) {
-    // Same acquire pairing as run_loop (see RunGovernor::exhaust()).
-    if (abort != nullptr && abort->load(std::memory_order_acquire)) break;
-    DynItem item;
-    {
-      std::unique_lock<std::mutex> lock(dyn_mutex_);
-      // Sleep only while the queue is empty but peers are still in flight
-      // (they may publish more ready items). Quiescence, abort, stop and
-      // error all wake us so we can re-evaluate.
-      const auto wake = [&] {
-        return dyn_queued_ > 0 || dyn_in_flight_ == 0 || dyn_error_stop_ ||
-               (abort != nullptr &&
-                abort->load(std::memory_order_acquire)) ||
-               (stop != nullptr && stop->load(std::memory_order_acquire));
-      };
-      std::uint64_t w0 = 0;
-      if (timed && !wake()) w0 = monotonic_ns();
-      dyn_cv_.wait(lock, wake);
-      if (w0 != 0) cv_wait_total += monotonic_ns() - w0;
-      if (dyn_error_stop_) break;
-      if (abort != nullptr && abort->load(std::memory_order_acquire)) break;
-      if (stop != nullptr && stop->load(std::memory_order_acquire)) break;
-      if (dyn_queued_ == 0) break;  // quiescent: nothing queued, none in flight
-      while (dyn_buckets_[dyn_cursor_].empty()) ++dyn_cursor_;
-      item = dyn_buckets_[dyn_cursor_].front();
-      dyn_buckets_[dyn_cursor_].pop_front();
-      --dyn_queued_;
-      ++dyn_in_flight_;
-    }
-    if (timed && item.ready_ns != 0) {
-      const std::uint64_t now = monotonic_ns();
-      if (now > item.ready_ns) {
-        ready_wait_ns_[thread_id].fetch_add(now - item.ready_ns,
-                                            std::memory_order_relaxed);
-      }
-    }
-    try {
-      fn(item.item, thread_id);
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(dyn_mutex_);
-        dyn_error_stop_ = true;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(dyn_mutex_);
-      --dyn_in_flight_;
-      if (dyn_error_stop_ || (dyn_in_flight_ == 0 && dyn_queued_ == 0)) {
-        dyn_cv_.notify_all();
-      }
-    }
-  }
-  // Whatever made this thread leave (quiescence, abort, stop, error) must
-  // also be re-evaluated by sleeping peers, even if the flag was raised by
-  // an external thread that never touches dyn_cv_ (e.g. the governor
-  // watchdog raising abort between a peer's wake check and its sleep).
-  dyn_cv_.notify_all();
-  if (timed) {
-    const std::uint64_t elapsed = monotonic_ns() - t_enter;
-    const std::uint64_t busy =
-        elapsed > cv_wait_total ? elapsed - cv_wait_total : 0;
-    busy_ns_[thread_id].fetch_add(busy, std::memory_order_relaxed);
-    wait_ns_[thread_id].fetch_add(cv_wait_total, std::memory_order_relaxed);
-  }
-}
-
 void ThreadPool::worker_main(std::size_t thread_id) {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    bool dynamic = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, [&] {
@@ -221,13 +130,8 @@ void ThreadPool::worker_main(std::size_t thread_id) {
       });
       if (shutdown_) return;
       seen_generation = generation_;
-      dynamic = dynamic_mode_;
     }
-    if (dynamic) {
-      run_dynamic_loop(thread_id);
-    } else {
-      run_loop(thread_id);
-    }
+    run_loop(thread_id);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--workers_running_ == 0) done_cv_.notify_all();
@@ -262,7 +166,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
     abort_ = abort;
-    dynamic_mode_ = false;
     end_ = end;
     next_.store(begin, std::memory_order_relaxed);
     workers_running_ = workers_.size();
@@ -299,93 +202,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     lock.unlock();
     std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::run_dynamic(const std::vector<ReadyItem>& initial,
-                             std::size_t num_priorities, const LoopFn& fn,
-                             const std::atomic<bool>* abort,
-                             const std::atomic<bool>* stop) {
-  if (initial.empty()) return;
-  DispatchGuard in_dispatch(in_dispatch_);
-  const bool timed = timing_enabled_.load(std::memory_order_relaxed);
-  std::uint64_t t0 = 0;
-  if (timed) {
-    loops_.fetch_add(1, std::memory_order_relaxed);
-    t0 = monotonic_ns();
-    dispatch_ns_.store(t0, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(dyn_mutex_);
-    dyn_buckets_.assign(std::max<std::size_t>(1, num_priorities), {});
-    dyn_cursor_ = 0;
-    dyn_queued_ = initial.size();
-    dyn_in_flight_ = 0;
-    dyn_stop_ = stop;
-    dyn_error_stop_ = false;
-    for (const ReadyItem& r : initial) {
-      const std::size_t p =
-          std::min<std::size_t>(r.priority, dyn_buckets_.size() - 1);
-      dyn_buckets_[p].push_back(DynItem{r.item, t0});
-    }
-  }
-  if (workers_.empty()) {
-    fn_ = &fn;
-    abort_ = abort;
-    first_error_ = nullptr;
-    run_dynamic_loop(0);
-    fn_ = nullptr;
-    abort_ = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(dyn_mutex_);
-      dyn_stop_ = nullptr;
-    }
-    if (first_error_) {
-      std::exception_ptr err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    abort_ = abort;
-    dynamic_mode_ = true;
-    workers_running_ = workers_.size();
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  run_dynamic_loop(0);  // the caller is thread 0
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return workers_running_ == 0; });
-  fn_ = nullptr;
-  abort_ = nullptr;
-  dynamic_mode_ = false;
-  {
-    std::lock_guard<std::mutex> dyn_lock(dyn_mutex_);
-    dyn_stop_ = nullptr;
-  }
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::push_ready(std::uint32_t item, std::uint32_t priority) {
-  const bool timed = timing_enabled_.load(std::memory_order_relaxed);
-  const std::uint64_t ready_ns = timed ? monotonic_ns() : 0;
-  {
-    std::lock_guard<std::mutex> lock(dyn_mutex_);
-    const std::size_t p =
-        std::min<std::size_t>(priority, dyn_buckets_.size() - 1);
-    dyn_buckets_[p].push_back(DynItem{item, ready_ns});
-    if (p < dyn_cursor_) dyn_cursor_ = p;
-    ++dyn_queued_;
-  }
-  dyn_cv_.notify_one();
 }
 
 }  // namespace xtalk::util

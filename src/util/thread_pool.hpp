@@ -1,17 +1,9 @@
-// A small persistent worker pool with two dispatch modes.
+// A small persistent worker pool with one dispatch mode: parallel_for().
 //
-// parallel_for() is the level-synchronous mode: the STA engine's barrier
-// scheduler processes one topological level at a time; inside a level every
-// gate is independent (each writes only its own output net), so the natural
-// execution model is a parallel-for with a barrier between levels (Galois'
-// "TopoBarrier" schedule).
-//
-// run_dynamic() is the dependency-driven mode ("ByDependency"): the caller
-// seeds an initial ready set and each task may push more items as they
-// become ready (typically when an atomic fanin countdown hits zero). The
-// loop drains until quiescence — no queued items and no task in flight —
-// with no intermediate barriers. Priority buckets order the queue weakly
-// (lower value first) for the "TopoSoftPriority" variant.
+// The STA engine processes one topological level at a time; inside a level
+// every gate is independent (each writes only its own output net), so the
+// natural execution model is a parallel-for with a barrier between levels
+// (Galois' "TopoBarrier" schedule).
 //
 // The pool keeps its workers alive across levels and passes — spawning
 // threads per loop would dominate the runtime of small levels.
@@ -27,7 +19,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -40,18 +31,9 @@ namespace xtalk::util {
 class ThreadPool {
  public:
   /// Worker callback: fn(index, thread_id). `index` walks [begin, end) of
-  /// the current loop (parallel_for) or is a queued item (run_dynamic);
-  /// `thread_id` is in [0, num_threads()) and stable for the duration of
-  /// one loop (use it to index per-thread scratch).
+  /// the current loop; `thread_id` is in [0, num_threads()) and stable for
+  /// the duration of one loop (use it to index per-thread scratch).
   using LoopFn = std::function<void(std::size_t, std::size_t)>;
-
-  /// An entry of run_dynamic's initial ready set. Lower priority runs
-  /// first (weakly: a worker never idles to wait for a better-priority
-  /// item; priorities only order the queue).
-  struct ReadyItem {
-    std::uint32_t item = 0;
-    std::uint32_t priority = 0;
-  };
 
   /// Spawns `num_threads - 1` workers; the calling thread participates as
   /// thread 0. `num_threads` is clamped to at least 1.
@@ -79,52 +61,22 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, const LoopFn& fn,
                     const std::atomic<bool>* abort = nullptr);
 
-  /// Dependency-driven dispatch: run fn(item, thread_id) for every item of
-  /// `initial` and every item later published with push_ready() (only legal
-  /// from inside fn), blocking until quiescence — the queue is empty and no
-  /// task is in flight. There is no barrier anywhere: an item runs as soon
-  /// as a worker is free, so the caller's tasks must synchronize their own
-  /// cross-task reads (the STA engine does this with an acq_rel fanin
-  /// countdown whose last decrement publishes the item).
-  ///
-  /// `num_priorities` sizes the priority buckets ([0, num_priorities));
-  /// pass 1 for plain FIFO. `abort` matches parallel_for (hard
-  /// cancellation, acquire-polled). `stop` (optional, borrowed) is the
-  /// cooperative soft-stop: once a task sets it, no further queued item is
-  /// claimed, but every task already started runs to completion — the
-  /// "every item that starts also finishes" contract the engine's anytime
-  /// truncation relies on. Exceptions from fn stop dispatch the same way
-  /// and the first one is rethrown after quiescence.
-  void run_dynamic(const std::vector<ReadyItem>& initial,
-                   std::size_t num_priorities, const LoopFn& fn,
-                   const std::atomic<bool>* abort = nullptr,
-                   const std::atomic<bool>* stop = nullptr);
-
-  /// Publish an item as ready. Thread-safe; only valid while a run_dynamic
-  /// loop is in flight (from inside its fn). Lower priority runs first;
-  /// values >= the loop's num_priorities are clamped into the last bucket.
-  void push_ready(std::uint32_t item, std::uint32_t priority = 0);
-
   /// Map a user-facing thread-count request to an actual count:
   /// 0 = std::thread::hardware_concurrency(), otherwise the value itself
   /// (minimum 1).
   static std::size_t resolve_threads(int requested);
 
   /// Busy/wait accounting for the trace/metrics layer. `busy_ns` is time
-  /// spent executing loop bodies (claiming items and running fn, minus any
-  /// time blocked on the ready queue); `wait_ns` is time a participating
-  /// thread was idle while a loop was in flight: dispatch latency from the
-  /// hand-off to the thread entering its loop, barrier wait from a thread
-  /// finishing its share of a parallel_for until the whole loop ends, and
-  /// ready-queue blocking inside run_dynamic. `ready_wait_ns` additionally
-  /// sums, per executed dynamic item, the time from push_ready() to the
-  /// item being claimed (how long ready work sat in the queue).
-  /// Measurements, not deterministic quantities.
+  /// spent executing loop bodies (claiming indices and running fn);
+  /// `wait_ns` is time a participating thread was idle while a loop was in
+  /// flight: dispatch latency from the hand-off to the thread entering its
+  /// loop, and barrier wait from a thread finishing its share of a
+  /// parallel_for until the whole loop ends. Measurements, not
+  /// deterministic quantities.
   struct Timing {
     std::uint64_t busy_ns = 0;
     std::uint64_t wait_ns = 0;
-    std::uint64_t ready_wait_ns = 0;
-    std::uint64_t loops = 0;  ///< parallel_for + run_dynamic invocations
+    std::uint64_t loops = 0;  ///< parallel_for invocations
   };
 
   /// Off by default; when off, the only cost per loop is one relaxed load
@@ -141,14 +93,8 @@ class ThreadPool {
   void reset_timing();
 
  private:
-  struct DynItem {
-    std::uint32_t item = 0;
-    std::uint64_t ready_ns = 0;  ///< push timestamp; 0 when timing is off
-  };
-
   void worker_main(std::size_t thread_id);
   void run_loop(std::size_t thread_id);
-  void run_dynamic_loop(std::size_t thread_id);
   void require_quiescent(const char* what) const;
 
   std::vector<std::thread> workers_;
@@ -158,7 +104,6 @@ class ThreadPool {
   std::atomic<bool> timing_enabled_{false};
   std::unique_ptr<std::atomic<std::uint64_t>[]> busy_ns_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> wait_ns_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> ready_wait_ns_;
   /// Time each thread left its share of the current parallel_for; the
   /// caller turns the gap to loop end into barrier wait.
   std::unique_ptr<std::atomic<std::uint64_t>[]> exit_ns_;
@@ -177,23 +122,10 @@ class ThreadPool {
   // State of the loop in flight (valid while a generation is active).
   const LoopFn* fn_ = nullptr;
   const std::atomic<bool>* abort_ = nullptr;
-  bool dynamic_mode_ = false;  ///< selects run_loop vs run_dynamic_loop
   std::size_t end_ = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t workers_running_ = 0;
   std::exception_ptr first_error_;
-
-  // Dynamic-dispatch queue state (guarded by dyn_mutex_). Buckets are
-  // FIFO deques indexed by priority; dyn_cursor_ is the lowest bucket that
-  // may be non-empty (reset by a lower-priority push).
-  std::mutex dyn_mutex_;
-  std::condition_variable dyn_cv_;
-  std::vector<std::deque<DynItem>> dyn_buckets_;
-  std::size_t dyn_cursor_ = 0;
-  std::size_t dyn_queued_ = 0;
-  std::size_t dyn_in_flight_ = 0;
-  const std::atomic<bool>* dyn_stop_ = nullptr;
-  bool dyn_error_stop_ = false;  ///< first exception stops further claims
 };
 
 }  // namespace xtalk::util

@@ -49,13 +49,11 @@ TEST(BenchJson, ReportRoundTripsThroughStrictParser) {
   sta::StaResult result;
   result.longest_path_delay = 3.5e-9;
   result.passes = 2;
-  result.scheduler = sta::Scheduler::kByDependency;
   result.metrics.enabled = true;
   result.metrics.counters[static_cast<std::size_t>(
       sta::EngineCounter::kBeSteps)] = 42;
   result.metrics.pool_busy_ns = 1000;
   result.metrics.pool_wait_ns = 250;
-  result.metrics.pool_ready_wait_ns = 7;
   JsonObject& row = report.add_row("modes");
   row.set("mode", "iterative");
   fill_result_row(row, result);
@@ -82,12 +80,9 @@ TEST(BenchJson, ReportRoundTripsThroughStrictParser) {
   EXPECT_EQ(parsed_row.find("be_steps")->number, 42.0);
   EXPECT_EQ(parsed_row.find("metrics_enabled")->boolean, true);
   EXPECT_EQ(parsed_row.find("budget_reason")->str, "none");
-  // The scheduler echo and the pool wait metrics (the bench's barrier-wait
-  // proof reads these) round-trip too.
-  EXPECT_EQ(parsed_row.find("scheduler")->str, "by-dependency");
+  // The pool busy/wait metrics round-trip too.
   EXPECT_EQ(parsed_row.find("pool_busy_ns")->number, 1000.0);
   EXPECT_EQ(parsed_row.find("pool_wait_ns")->number, 250.0);
-  EXPECT_EQ(parsed_row.find("pool_ready_wait_ns")->number, 7.0);
 }
 
 TEST(BenchJson, KeysPreserveInsertionOrder) {

@@ -1,10 +1,10 @@
 // MCMM property suite (the ISSUE 10 determinism contract): every scenario
 // of a multi-corner/multi-scenario invocation must be bitwise identical to
 // a standalone single-scenario run with the same effective options — for
-// any scheduler and any thread count — because the cross-scenario sharing
-// (netlist, parasitics, levelization, dependency DAG, ready-level
-// snapshot, per-corner device tables and NLDM characterization) only
-// removes redundant construction, never changes a computed value.
+// any thread count — because the cross-scenario sharing (netlist,
+// parasitics, levelization, ready-level snapshot, per-corner device tables
+// and NLDM characterization) only removes redundant construction, never
+// changes a computed value.
 //
 // Also covered here: the merged worst-scenario slack report (elementwise
 // minimum over per-scenario slacks), governor-truncated multi-scenario
@@ -32,10 +32,6 @@
 namespace xtalk::sta {
 namespace {
 
-constexpr Scheduler kAllSchedulers[] = {
-    Scheduler::kLevelBarrier, Scheduler::kByDependency,
-    Scheduler::kSoftPriority};
-
 const core::Design& mcmm_design() {
   static const core::Design d =
       core::Design::generate(netlist::scaled_spec("mcmm", 77, 350, 12));
@@ -62,13 +58,11 @@ std::vector<Scenario> corner_set() {
   return s;
 }
 
-StaOptions base_options(Scheduler sched = Scheduler::kLevelBarrier,
-                        int threads = 1) {
+StaOptions base_options(int threads = 1) {
   StaOptions opt;
   opt.mode = AnalysisMode::kOneStep;
   opt.esperance = true;
   opt.timing_windows = true;
-  opt.scheduler = sched;
   opt.num_threads = threads;
   return opt;
 }
@@ -105,10 +99,10 @@ void expect_identical(const StaResult& a, const StaResult& b) {
 // Bitwise equivalence to standalone runs
 // ---------------------------------------------------------------------------
 
-TEST(Mcmm, ScenariosBitwiseEqualStandaloneAcrossSchedulersAndThreads) {
-  // The standalone reference per scenario is computed once (serial level
-  // barrier): complete runs are bitwise invariant across schedulers and
-  // thread counts, so every (scheduler, threads) MCMM run must match it.
+TEST(Mcmm, ScenariosBitwiseEqualStandaloneAcrossThreads) {
+  // The standalone reference per scenario is computed once (serial):
+  // complete runs are bitwise invariant across thread counts, so every
+  // MCMM run must match it at every width.
   const std::vector<Scenario> scenarios = corner_set();
   std::vector<StaResult> reference;
   for (const Scenario& s : scenarios) {
@@ -118,19 +112,15 @@ TEST(Mcmm, ScenariosBitwiseEqualStandaloneAcrossSchedulersAndThreads) {
   EXPECT_NE(reference[0].longest_path_delay, reference[1].longest_path_delay);
   EXPECT_NE(reference[1].longest_path_delay, reference[2].longest_path_delay);
 
-  for (const Scheduler sched : kAllSchedulers) {
-    for (const int threads : {1, 4}) {
-      StaOptions opt = base_options(sched, threads);
-      opt.scenarios = scenarios;
-      const McmmResult m = run_mcmm(mcmm_design().view(), opt);
-      ASSERT_EQ(m.runs.size(), scenarios.size());
-      EXPECT_EQ(m.unique_corners, 3u);  // nominal, fast, slow
-      for (std::size_t i = 0; i < m.runs.size(); ++i) {
-        SCOPED_TRACE(scenarios[i].name + " sched " +
-                     std::string(scheduler_name(sched)) + " threads " +
-                     std::to_string(threads));
-        expect_identical(m.runs[i].result, reference[i]);
-      }
+  for (const int threads : {1, 2, 4}) {
+    StaOptions opt = base_options(threads);
+    opt.scenarios = scenarios;
+    const McmmResult m = run_mcmm(mcmm_design().view(), opt);
+    ASSERT_EQ(m.runs.size(), scenarios.size());
+    EXPECT_EQ(m.unique_corners, 3u);  // nominal, fast, slow
+    for (std::size_t i = 0; i < m.runs.size(); ++i) {
+      SCOPED_TRACE(scenarios[i].name + " threads " + std::to_string(threads));
+      expect_identical(m.runs[i].result, reference[i]);
     }
   }
 }

@@ -1,20 +1,31 @@
-// Determinism of the level-parallel STA pass: the engine must produce
-// bit-identical results for any thread count (the coupling classification
-// is anchored to pass start, so scheduling cannot leak into the numbers),
-// plus unit coverage of the thread-pool utility itself — both dispatch
-// modes: the parallel_for barrier loop and the run_dynamic dependency loop
-// (cross-scheduler engine invariance lives in test_scheduler.cpp).
+// Determinism of the level-parallel STA pass: the engine must produce a
+// bitwise-identical StaResult for any thread count — arrivals and waveform
+// points, diagnostics, and the integer metrics counters/histograms
+// (including governor_checks, one per level boundary). This holds because
+// the coupling classification is anchored to pass start (static ready
+// levels), so no computed value depends on execution order.
+//
+// Fault-injected (degraded) runs are covered too: gate-scoped FaultSpecs
+// fire deterministically regardless of which worker runs the gate.
+// Governor-truncated runs obey the anytime contract: every level that
+// starts also finishes, and the truncated prefix is conservative against
+// the converged run. Plus unit coverage of the thread-pool utility itself.
 #include "sta/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <mutex>
+#include <cstddef>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/crosstalk_sta.hpp"
 #include "netlist/circuit_generator.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace xtalk::sta {
@@ -35,9 +46,26 @@ StaResult run_with_threads(AnalysisMode mode, int threads) {
   return parallel_design().run(opt);
 }
 
+const core::Design& invariance_design() {
+  static const core::Design d =
+      core::Design::generate(netlist::scaled_spec("invariance", 91, 350, 12));
+  return d;
+}
+
+StaOptions invariance_options(AnalysisMode mode, int threads) {
+  StaOptions opt;
+  opt.mode = mode;
+  opt.esperance = true;
+  opt.timing_windows = true;
+  opt.num_threads = threads;
+  opt.collect_metrics = true;
+  return opt;
+}
+
+/// Bitwise equality of two results, including everything the metrics layer
+/// guarantees to be deterministic (integer counters, histograms, level
+/// shapes, governor checkpoint count) and the diagnostic stream.
 void expect_identical(const StaResult& a, const StaResult& b) {
-  // Bitwise equality throughout: same waveform calculations in the same
-  // per-gate order must yield the same doubles, not merely close ones.
   EXPECT_EQ(a.longest_path_delay, b.longest_path_delay);
   EXPECT_EQ(a.passes, b.passes);
   EXPECT_EQ(a.waveform_calculations, b.waveform_calculations);
@@ -52,16 +80,91 @@ void expect_identical(const StaResult& a, const StaResult& b) {
   }
   ASSERT_EQ(a.timing.size(), b.timing.size());
   for (std::size_t n = 0; n < a.timing.size(); ++n) {
-    for (const bool rising : {true, false}) {
-      const NetEvent& ea = a.timing[n].event(rising);
-      const NetEvent& eb = b.timing[n].event(rising);
-      ASSERT_EQ(ea.valid, eb.valid) << "net " << n;
-      if (!ea.valid) continue;
-      EXPECT_EQ(ea.arrival, eb.arrival) << "net " << n;
-      EXPECT_EQ(ea.start_time, eb.start_time) << "net " << n;
-      EXPECT_EQ(ea.settle_time, eb.settle_time) << "net " << n;
-    }
+    EXPECT_TRUE(net_timing_identical(a.timing[n], b.timing[n])) << "net " << n;
   }
+
+  // Diagnostics arrive through the deterministic ordering layer at every
+  // thread count: same entries, same order.
+  ASSERT_EQ(a.diagnostics.entries.size(), b.diagnostics.entries.size());
+  EXPECT_EQ(a.diagnostics.dropped, b.diagnostics.dropped);
+  for (std::size_t i = 0; i < a.diagnostics.entries.size(); ++i) {
+    EXPECT_EQ(a.diagnostics.entries[i].code, b.diagnostics.entries[i].code)
+        << "diag " << i;
+    EXPECT_EQ(a.diagnostics.entries[i].ctx.gate,
+              b.diagnostics.entries[i].ctx.gate)
+        << "diag " << i;
+  }
+
+  // Governor bookkeeping: runs checkpoint once per level boundary.
+  EXPECT_EQ(a.budget.exhausted, b.budget.exhausted);
+  EXPECT_EQ(a.budget.governor_checks, b.budget.governor_checks);
+  EXPECT_EQ(a.budget.completed_levels, b.budget.completed_levels);
+  EXPECT_EQ(a.budget.total_levels, b.budget.total_levels);
+
+  // Integer metrics: bitwise invariant like the results themselves.
+  ASSERT_EQ(a.metrics.enabled, b.metrics.enabled);
+  for (std::size_t c = 0; c < kNumEngineCounters; ++c) {
+    EXPECT_EQ(a.metrics.counters[c], b.metrics.counters[c])
+        << engine_counter_name(static_cast<EngineCounter>(c));
+  }
+  for (std::size_t h = 0; h < kNumEngineHistograms; ++h) {
+    const HistogramSummary& ha = a.metrics.histograms[h];
+    const HistogramSummary& hb = b.metrics.histograms[h];
+    EXPECT_EQ(ha.count, hb.count)
+        << engine_histogram_name(static_cast<EngineHistogram>(h));
+    EXPECT_EQ(ha.sum, hb.sum);
+    EXPECT_EQ(ha.min, hb.min);
+    EXPECT_EQ(ha.max, hb.max);
+    EXPECT_EQ(ha.buckets, hb.buckets);
+  }
+  ASSERT_EQ(a.metrics.passes.size(), b.metrics.passes.size());
+  for (std::size_t p = 0; p < a.metrics.passes.size(); ++p) {
+    // Level shapes are structural; wall times are measurements and differ.
+    EXPECT_EQ(a.metrics.passes[p].level_gates, b.metrics.passes[p].level_gates)
+        << "pass " << p;
+    EXPECT_EQ(a.metrics.passes[p].waveform_calcs,
+              b.metrics.passes[p].waveform_calcs)
+        << "pass " << p;
+    EXPECT_EQ(a.metrics.passes[p].gates_evaluated,
+              b.metrics.passes[p].gates_evaluated)
+        << "pass " << p;
+  }
+}
+
+using ArrivalMap = std::map<std::pair<netlist::NetId, bool>, double>;
+
+ArrivalMap arrival_map(const StaResult& r) {
+  ArrivalMap m;
+  for (const EndpointArrival& ep : r.endpoints) {
+    m[{ep.net, ep.rising}] = ep.arrival;
+  }
+  return m;
+}
+
+/// The anytime contract (see test_run_governor): reported arrivals are
+/// never below the converged ones, and every endpoint is either timed or
+/// explicitly untimed.
+void expect_conservative(const StaResult& truncated, const StaResult& full) {
+  const ArrivalMap converged = arrival_map(full);
+  for (const EndpointArrival& ep : truncated.endpoints) {
+    const auto it = converged.find({ep.net, ep.rising});
+    ASSERT_NE(it, converged.end()) << "net " << ep.net;
+    EXPECT_GE(ep.arrival, it->second) << "net " << ep.net;
+  }
+  const std::set<netlist::NetId> untimed(
+      truncated.budget.untimed_endpoints.begin(),
+      truncated.budget.untimed_endpoints.end());
+  std::set<netlist::NetId> timed;
+  for (const EndpointArrival& ep : truncated.endpoints) timed.insert(ep.net);
+  for (const netlist::NetId net : untimed) {
+    EXPECT_EQ(timed.count(net), 0u)
+        << "net " << net << " both timed and untimed";
+  }
+  for (const EndpointArrival& ep : full.endpoints) {
+    EXPECT_TRUE(timed.count(ep.net) == 1 || untimed.count(ep.net) == 1)
+        << "net " << ep.net << " vanished from the truncated result";
+  }
+  EXPECT_TRUE(truncated.budget.conservative);
 }
 
 TEST(ParallelEngine, BitIdenticalAcrossThreadCounts) {
@@ -85,6 +188,124 @@ TEST(ParallelEngine, DefaultThreadCountResolvesToHardware) {
   const StaResult r = parallel_design().run(opt);
   EXPECT_GE(r.threads_used, 1);
   EXPECT_GT(r.longest_path_delay, 0.0);
+}
+
+TEST(ThreadInvariance, BitwiseAcrossThreadCounts) {
+  for (const AnalysisMode mode :
+       {AnalysisMode::kOneStep, AnalysisMode::kIterative}) {
+    const StaResult reference =
+        invariance_design().run(invariance_options(mode, 1));
+    for (const int threads : {1, 2, 4}) {
+      const StaResult r =
+          invariance_design().run(invariance_options(mode, threads));
+      EXPECT_EQ(r.threads_used, threads);
+      expect_identical(reference, r);
+    }
+  }
+}
+
+TEST(ThreadInvariance, RandomNetlistSweep) {
+  // Independent random circuits (different seeds, sizes, depths): the
+  // invariance is a property of the algorithm, not of one lucky DAG.
+  const struct {
+    std::uint64_t seed;
+    std::size_t cells;
+    std::size_t depth;
+  } specs[] = {{7, 150, 6}, {131, 220, 16}, {977, 90, 4}};
+  for (const auto& s : specs) {
+    const core::Design d = core::Design::generate(
+        netlist::scaled_spec("sweep", s.seed, s.cells, s.depth));
+    const StaResult reference =
+        d.run(invariance_options(AnalysisMode::kIterative, 1));
+    for (const int threads : {2, 4}) {
+      const StaResult r =
+          d.run(invariance_options(AnalysisMode::kIterative, threads));
+      expect_identical(reference, r);
+    }
+  }
+}
+
+/// The `count` deepest combinational gates (small influence cones).
+std::vector<netlist::GateId> deep_gates(const core::Design& design,
+                                        std::size_t count) {
+  const netlist::Netlist& nl = design.netlist();
+  std::vector<netlist::GateId> gates;
+  for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+    if (!nl.gate(g).cell->is_sequential()) gates.push_back(g);
+  }
+  std::sort(gates.begin(), gates.end(),
+            [&](netlist::GateId a, netlist::GateId b) {
+              return design.dag().gate_level[a] > design.dag().gate_level[b];
+            });
+  gates.resize(std::min(count, gates.size()));
+  return gates;
+}
+
+TEST(ThreadInvariance, FaultInjectedDegradedRunsStayInvariant) {
+  // Gate-scoped fault injection fires per-gate deterministically, so the
+  // degraded (fallback-chain / bound-substituted) results must stay bitwise
+  // identical across thread counts too — including the injected-fault
+  // diagnostics.
+  util::FaultInjector inj;
+  for (const netlist::GateId g : deep_gates(invariance_design(), 4)) {
+    util::FaultSpec spec;
+    spec.kind = util::FaultKind::kNewtonDiverge;
+    spec.gate = static_cast<std::int64_t>(g);
+    inj.add(spec);
+  }
+  for (const AnalysisMode mode :
+       {AnalysisMode::kOneStep, AnalysisMode::kIterative}) {
+    StaOptions ref_opt = invariance_options(mode, 1);
+    ref_opt.fault_injector = &inj;
+    const StaResult reference = invariance_design().run(ref_opt);
+    EXPECT_GT(reference.diagnostics.entries.size(), 0u);
+    for (const int threads : {1, 2, 4}) {
+      StaOptions opt = invariance_options(mode, threads);
+      opt.fault_injector = &inj;
+      const StaResult r = invariance_design().run(opt);
+      expect_identical(reference, r);
+    }
+  }
+}
+
+TEST(GovernorTruncation, TruncatedPrefixIsConservativeAndThreadInvariant) {
+  // A count-based budget is checked at level boundaries only — the serial
+  // points of the traversal — so the truncation lands on the same level at
+  // every thread count, and the anytime result must be conservative
+  // against the converged run.
+  for (const AnalysisMode mode :
+       {AnalysisMode::kOneStep, AnalysisMode::kIterative}) {
+    const StaResult full =
+        invariance_design().run(invariance_options(mode, 1));
+    ASSERT_GT(full.waveform_calculations, 10u);
+    StaResult serial;
+    for (const int threads : {1, 4}) {
+      StaOptions opt = invariance_options(mode, threads);
+      opt.budget.max_waveform_calcs = full.waveform_calculations / 3;
+      const StaResult truncated = invariance_design().run(opt);
+      EXPECT_TRUE(truncated.budget.exhausted) << "threads " << threads;
+      EXPECT_EQ(truncated.budget.reason, util::BudgetReason::kWaveformCalcs);
+      EXPECT_LT(truncated.waveform_calculations, full.waveform_calculations);
+      expect_conservative(truncated, full);
+      if (threads == 1) {
+        serial = truncated;
+      } else {
+        expect_identical(serial, truncated);
+      }
+    }
+  }
+}
+
+TEST(GovernorTruncation, StrictPolicyThrows) {
+  StaOptions opt = invariance_options(AnalysisMode::kOneStep, 2);
+  opt.budget.max_waveform_calcs = 1;
+  opt.budget.policy = util::BudgetPolicy::kStrictBudget;
+  try {
+    invariance_design().run(opt);
+    FAIL() << "expected util::DiagError";
+  } catch (const util::DiagError& e) {
+    EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
+  }
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
@@ -135,130 +356,28 @@ TEST(ThreadPool, SingleThreadRunsInline) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(ThreadPoolDynamic, ChainRunsEveryItemExactlyOnce) {
-  // A 1000-item dependency chain seeded with one root: each task publishes
-  // its successor. The loop must drain the whole chain and touch every
-  // item exactly once, at several pool widths.
-  for (const std::size_t width : {1u, 2u, 4u}) {
-    util::ThreadPool pool(width);
-    const std::uint32_t n = 1000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.run_dynamic({{0, 0}}, 1, [&](std::size_t item, std::size_t tid) {
-      ASSERT_LT(tid, pool.num_threads());
-      hits[item].fetch_add(1);
-      if (item + 1 < n) pool.push_ready(static_cast<std::uint32_t>(item) + 1);
-    });
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolDynamic, FanOutCoversEveryItemAndReusesAcrossLoops) {
-  util::ThreadPool pool(4);
-  std::vector<util::ThreadPool::ReadyItem> roots;
-  for (std::uint32_t i = 0; i < 16; ++i) roots.push_back({i, 0});
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::atomic<int>> hits(16 * 8);
-    pool.run_dynamic(roots, 1, [&](std::size_t item, std::size_t) {
-      hits[item].fetch_add(1);
-      // Each root fans out its 7 children 16 + k*16 .. (binary-ish tree
-      // flattened): publish from inside fn only.
-      const std::size_t child = item + 16;
-      if (child < hits.size()) {
-        pool.push_ready(static_cast<std::uint32_t>(child));
-      }
-    });
-    for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-  // Empty initial set is a no-op, pool stays usable.
-  std::atomic<int> count{0};
-  pool.run_dynamic({}, 1, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 0);
-  pool.parallel_for(0, 8, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 8);
-}
-
-TEST(ThreadPoolDynamic, SingleThreadHonoursPriorityOrder) {
-  // With one thread the dispatch order is fully deterministic: lower
-  // priority buckets drain first among items queued at decision time.
-  util::ThreadPool pool(1);
-  std::vector<std::size_t> order;
-  const std::vector<util::ThreadPool::ReadyItem> roots = {
-      {10, 2}, {11, 0}, {12, 1}, {13, 0}};
-  pool.run_dynamic(roots, 3, [&](std::size_t item, std::size_t tid) {
-    EXPECT_EQ(tid, 0u);
-    order.push_back(item);
-    if (item == 11) pool.push_ready(20, 2);
-    if (item == 13) pool.push_ready(21, 0);  // jumps ahead of bucket 1 and 2
-  });
-  const std::vector<std::size_t> expected = {11, 13, 21, 12, 10, 20};
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolDynamic, SoftStopFinishesStartedItemsOnly) {
-  // Once a task raises `stop`, no queued item may be claimed any more, but
-  // everything already started runs to completion ("every item that starts
-  // also finishes"). Single worker makes the cut deterministic.
-  util::ThreadPool pool(1);
-  std::atomic<bool> stop{false};
-  std::vector<std::size_t> ran;
-  std::vector<util::ThreadPool::ReadyItem> roots;
-  for (std::uint32_t i = 0; i < 10; ++i) roots.push_back({i, 0});
-  pool.run_dynamic(
-      roots, 1,
-      [&](std::size_t item, std::size_t) {
-        ran.push_back(item);
-        if (item == 3) stop.store(true, std::memory_order_release);
-      },
-      /*abort=*/nullptr, &stop);
-  const std::vector<std::size_t> expected = {0, 1, 2, 3};
-  EXPECT_EQ(ran, expected);
-}
-
-TEST(ThreadPoolDynamic, AbortStopsClaimingNewItems) {
-  util::ThreadPool pool(2);
-  std::atomic<bool> abort{false};
-  std::atomic<int> ran{0};
-  std::vector<util::ThreadPool::ReadyItem> roots;
-  for (std::uint32_t i = 0; i < 64; ++i) roots.push_back({i, 0});
-  pool.run_dynamic(
-      roots, 1,
-      [&](std::size_t, std::size_t) {
-        if (ran.fetch_add(1) == 0) abort.store(true, std::memory_order_release);
-      },
-      &abort);
-  EXPECT_LT(ran.load(), 64);
-}
-
-TEST(ThreadPoolDynamic, PropagatesFirstExceptionAndStaysUsable) {
-  util::ThreadPool pool(2);
-  std::vector<util::ThreadPool::ReadyItem> roots;
-  for (std::uint32_t i = 0; i < 32; ++i) roots.push_back({i, 0});
-  EXPECT_THROW(
-      pool.run_dynamic(roots, 1,
-                       [&](std::size_t item, std::size_t) {
-                         if (item == 7) throw std::runtime_error("boom");
-                       }),
-      std::runtime_error);
-  std::atomic<int> count{0};
-  pool.run_dynamic(roots, 1, [&](std::size_t, std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPoolDynamic, TimingTotalThrowsMidDispatchAndCountsAtQuiescence) {
-  // The quiescence contract of S2: timing_total()/reset_timing() must
-  // refuse to run while a loop is in flight (the per-thread slots are
-  // relaxed and would tear), and must report at quiescence.
+TEST(ThreadPool, TimingTotalThrowsMidLoopAndCountsAtQuiescence) {
+  // The quiescence contract: timing_total()/reset_timing() must refuse to
+  // run while a loop is in flight (the per-thread slots are relaxed and
+  // would tear), and must report at quiescence.
   util::ThreadPool pool(2);
   pool.set_timing_enabled(true);
   std::atomic<bool> threw{false};
-  pool.run_dynamic({{0, 0}}, 1, [&](std::size_t, std::size_t) {
+  std::atomic<bool> reset_threw{false};
+  pool.parallel_for(0, 1, [&](std::size_t, std::size_t) {
     try {
       (void)pool.timing_total();
     } catch (const std::logic_error&) {
       threw.store(true);
     }
+    try {
+      pool.reset_timing();
+    } catch (const std::logic_error&) {
+      reset_threw.store(true);
+    }
   });
   EXPECT_TRUE(threw.load());
+  EXPECT_TRUE(reset_threw.load());
   const util::ThreadPool::Timing t = pool.timing_total();  // quiescent: fine
   EXPECT_EQ(t.loops, 1u);
   pool.reset_timing();

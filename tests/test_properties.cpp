@@ -2,6 +2,8 @@
 // (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/crosstalk_sta.hpp"
 #include "delaycalc/arc_delay.hpp"
 #include "delaycalc/coupling_model.hpp"
@@ -70,6 +72,13 @@ struct ArcParam {
   double slew;
   double cc;
 };
+
+// Print the cell by name: the default byte dump would embed the string
+// literal's address, so the test names would change with every load address.
+void PrintTo(const ArcParam& p, std::ostream* os) {
+  *os << "(" << p.cell << ", " << p.load << ", " << p.slew << ", " << p.cc
+      << ")";
+}
 
 class ArcWaveformProperty : public ::testing::TestWithParam<ArcParam> {};
 

@@ -330,7 +330,7 @@ TEST(GovernedSta, SoftCancelReturnsEmptyAnytimeResult) {
 // exercises the full hard-abort publication chain concurrently with
 // running workers: CancelToken -> watchdog exhaust() (release stores) ->
 // pool abort poll (acquire) -> engine throw. The ThreadSanitizer smoke
-// preset runs this in both schedulers (see CMakePresets.json sched-smoke).
+// preset (tsan-smoke) runs this under race detection.
 class HardCancelTimerHook : public util::GovernorHook {
  public:
   HardCancelTimerHook(util::CancelToken* token, std::uint64_t fire_at)
@@ -352,22 +352,18 @@ class HardCancelTimerHook : public util::GovernorHook {
   std::thread timer_;
 };
 
-TEST(GovernedSta, HardCancelMidDispatchAbortsBothSchedulers) {
-  for (const Scheduler sched :
-       {Scheduler::kLevelBarrier, Scheduler::kByDependency}) {
-    StaOptions opt = governed_options(AnalysisMode::kIterative, 4);
-    opt.scheduler = sched;
-    util::CancelToken token;
-    HardCancelTimerHook hook(&token, /*fire_at=*/2);
-    opt.cancel = &token;
-    opt.governor_hook = &hook;
-    try {
-      governed_design().run(opt);
-      FAIL() << "expected util::DiagError for " << scheduler_name(sched);
-    } catch (const util::DiagError& e) {
-      EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
-      EXPECT_EQ(e.diagnostic().severity, util::Severity::kError);
-    }
+TEST(GovernedSta, HardCancelMidDispatchAborts) {
+  StaOptions opt = governed_options(AnalysisMode::kIterative, 4);
+  util::CancelToken token;
+  HardCancelTimerHook hook(&token, /*fire_at=*/2);
+  opt.cancel = &token;
+  opt.governor_hook = &hook;
+  try {
+    governed_design().run(opt);
+    FAIL() << "expected util::DiagError";
+  } catch (const util::DiagError& e) {
+    EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
+    EXPECT_EQ(e.diagnostic().severity, util::Severity::kError);
   }
 }
 

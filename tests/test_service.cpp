@@ -57,7 +57,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   RunSpec spec;
   spec.mode = sta::AnalysisMode::kIterative;
   spec.delay_model = sta::DelayModel::kNldm;
-  spec.scheduler = sta::Scheduler::kByDependency;
   spec.input_slew = 0.17e-9;
   spec.convergence_eps = 0.05e-12;
   spec.max_passes = 7;
@@ -77,7 +76,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   ASSERT_TRUE(r.finish());
   EXPECT_EQ(decoded.mode, spec.mode);
   EXPECT_EQ(decoded.delay_model, spec.delay_model);
-  EXPECT_EQ(decoded.scheduler, spec.scheduler);
   EXPECT_TRUE(bits_equal(decoded.input_slew, spec.input_slew));
   EXPECT_TRUE(bits_equal(decoded.convergence_eps, spec.convergence_eps));
   EXPECT_EQ(decoded.max_passes, spec.max_passes);
@@ -99,6 +97,40 @@ TEST(Protocol, RunSpecRejectsOutOfRangeEnums) {
   RunSpec decoded;
   EXPECT_FALSE(decoded.decode(r));
   EXPECT_FALSE(r.ok());
+}
+
+TEST(SessionWal, OldLayoutOpenRecordIsDroppedNotMisdecoded) {
+  // A v4 RunSpec carried a scheduler byte after delay_model. Replaying such
+  // a kSessionOpen record with the current decoder would read every later
+  // field one byte off; fold_session_wal must drop it instead.
+  std::vector<RunSpec> specs(3);
+  specs[1].mode = sta::AnalysisMode::kIterative;
+  specs[1].delay_model = sta::DelayModel::kNldm;
+  specs[1].esperance = true;
+  specs[1].esperance_window = 0.9e-9;
+  specs[1].timing_windows = true;
+  specs[1].max_waveform_calcs = 4242;
+  specs[1].trace_path = "/tmp/trace.json";
+  specs[2].scenario_name = "fast_derated";
+  specs[2].vdd_scale = 1.1;
+  specs[2].temperature_c = -40.0;
+  specs[2].coupling_derate = 1.2;
+  std::uint64_t token = 1;
+  for (const RunSpec& spec : specs) {
+    util::WalRecord current;
+    current.type = static_cast<std::uint16_t>(WalRecordType::kSessionOpen);
+    current.payload = encode_wal_open(token, spec);
+    // Positive control: the current layout replays.
+    EXPECT_EQ(fold_session_wal({current}).count(token), 1u);
+    for (const std::uint8_t old_scheduler : {0, 1, 2}) {
+      util::WalRecord old = current;
+      // u64 token, u8 mode, u8 delay_model, then the v4 scheduler byte.
+      old.payload.insert(old.payload.begin() + 10, old_scheduler);
+      EXPECT_TRUE(fold_session_wal({old}).empty())
+          << "spec " << token << " scheduler byte " << int(old_scheduler);
+    }
+    ++token;
+  }
 }
 
 TEST(Protocol, TracePathQualification) {
