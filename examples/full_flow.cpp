@@ -6,6 +6,7 @@
 // Usage: full_flow [num_cells] [depth] [seed]
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/crosstalk_sta.hpp"
 #include "core/validation.hpp"
@@ -49,12 +50,21 @@ int main(int argc, char** argv) {
 
   std::cout << "process-corner spread (one-step bound on the same "
                "extraction):\n";
+  std::vector<sta::Scenario> corners;
   for (const device::ProcessCorner c :
        {device::ProcessCorner::kSlow, device::ProcessCorner::kTypical,
         device::ProcessCorner::kFast}) {
-    const sta::StaResult r = design.run_at_corner(sta::AnalysisMode::kOneStep, c);
-    std::cout << "  " << device::corner_name(c) << ": "
-              << r.longest_path_delay * 1e9 << " ns\n";
+    sta::Scenario s;
+    s.name = device::corner_name(c);
+    s.process = c;
+    corners.push_back(s);
+  }
+  sta::StaOptions one_step;
+  one_step.mode = sta::AnalysisMode::kOneStep;
+  for (const sta::ScenarioRun& run :
+       design.run_scenarios(one_step, corners).runs) {
+    std::cout << "  " << run.scenario.name << ": "
+              << run.result.longest_path_delay * 1e9 << " ns\n";
   }
   std::cout << "\n";
 

@@ -1,5 +1,7 @@
 #include "core/crosstalk_sta.hpp"
 
+#include <utility>
+
 #include "netlist/bench_parser.hpp"
 
 namespace xtalk::core {
@@ -71,17 +73,10 @@ sta::StaResult Design::run(const sta::StaOptions& options) const {
   return sta::run_sta(view(), options);
 }
 
-sta::StaResult Design::run_at_corner(sta::AnalysisMode mode,
-                                     device::ProcessCorner corner) const {
-  sta::DesignView v = view();
-  v.tables = &device::DeviceTableSet::half_micron_corner(corner);
-  sta::StaOptions opt;
-  opt.mode = mode;
-  return sta::run_sta(v, opt);
-}
-
-sta::McmmResult Design::run_scenarios(const sta::StaOptions& options) const {
-  return sta::run_mcmm(view(), options);
+sta::McmmResult Design::run_scenarios(
+    const sta::StaOptions& options,
+    std::vector<sta::Scenario> scenarios) const {
+  return sta::run_mcmm(view(), options, std::move(scenarios));
 }
 
 sta::incremental::DesignEditor Design::make_editor() const {

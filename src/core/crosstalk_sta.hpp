@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "extract/extractor.hpp"
 #include "layout/placement.hpp"
@@ -78,15 +79,13 @@ class Design {
   sta::StaResult run(sta::AnalysisMode mode) const;
   /// Run with full option control.
   sta::StaResult run(const sta::StaOptions& options) const;
-  /// Multi-corner analysis: same layout and extraction, device tables of
-  /// the given process corner.
-  sta::StaResult run_at_corner(sta::AnalysisMode mode,
-                               device::ProcessCorner corner) const;
-
-  /// Multi-corner/multi-scenario analysis: run options.scenarios over this
-  /// design with the cross-scenario sharing of sta::run_mcmm. Every
-  /// scenario's result is bitwise a standalone run of that scenario.
-  sta::McmmResult run_scenarios(const sta::StaOptions& options) const;
+  /// Multi-corner/multi-scenario analysis: run `scenarios` (process and
+  /// V/T corners, coupling derates, mode overrides) over this design's one
+  /// layout and extraction with the cross-scenario sharing of
+  /// sta::run_mcmm. Every scenario's result is bitwise a standalone run of
+  /// that scenario.
+  sta::McmmResult run_scenarios(const sta::StaOptions& options,
+                                std::vector<sta::Scenario> scenarios) const;
 
   /// Open an incremental (ECO) editing session. The editor copies the
   /// netlist/parasitics/DAG on first write; this design stays untouched

@@ -127,18 +127,4 @@ const DeviceTableSet& DeviceTableSet::half_micron() {
   return set;
 }
 
-const DeviceTableSet& DeviceTableSet::half_micron_corner(
-    ProcessCorner corner) {
-  static const DeviceTableSet slow(
-      Technology::half_micron_corner(ProcessCorner::kSlow));
-  static const DeviceTableSet fast(
-      Technology::half_micron_corner(ProcessCorner::kFast));
-  switch (corner) {
-    case ProcessCorner::kSlow: return slow;
-    case ProcessCorner::kFast: return fast;
-    case ProcessCorner::kTypical: break;
-  }
-  return half_micron();
-}
-
 }  // namespace xtalk::device

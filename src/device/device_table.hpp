@@ -88,9 +88,6 @@ class DeviceTableSet {
   /// Shared table set for the default technology (built on first use).
   static const DeviceTableSet& half_micron();
 
-  /// Shared table set for a process corner of the default technology.
-  static const DeviceTableSet& half_micron_corner(ProcessCorner corner);
-
  private:
   const Technology* tech_;
   DeviceTable nmos_;

@@ -14,7 +14,7 @@
 namespace xtalk::device {
 
 /// Process corners for multi-corner analysis: transistor drive (beta) and
-/// threshold shift; wires are unchanged.
+/// threshold shift; wires are unchanged. Applied by Technology::scaled.
 enum class ProcessCorner { kSlow, kTypical, kFast };
 
 inline const char* corner_name(ProcessCorner c) {
@@ -77,20 +77,19 @@ struct Technology {
   /// experiments.
   static const Technology& half_micron();
 
-  /// Process corner of the default technology: device drive and threshold
-  /// shifts (interconnect rules unchanged, so one extraction serves all
-  /// corners).
-  static const Technology& half_micron_corner(ProcessCorner corner);
-
-  /// Operating-point variant of this technology for a V/T scenario corner:
-  /// vdd is scaled by `vdd_scale`, carrier mobility (beta) follows the
-  /// standard T^-1.5 lattice-scattering law and the thresholds drop
-  /// ~2 mV/K with rising temperature. Geometry, interconnect and the
-  /// alpha-power shape parameters are operating-point independent and are
-  /// left untouched. scaled(1.0, temperature_c) with the current
-  /// temperature returns a bitwise-identical copy — MCMM's "nominal
-  /// scenario equals the base run" contract relies on that.
-  Technology scaled(double vdd_scale, double new_temperature_c) const;
+  /// Corner variant of this technology for an analysis scenario. The
+  /// process shift comes first: kSlow scales both betas by 0.75 and raises
+  /// both thresholds by 60 mV, kFast scales by 1.25 and lowers by 60 mV,
+  /// kTypical leaves them. Then the operating point: vdd is scaled by
+  /// `vdd_scale`, carrier mobility (beta) follows the standard T^-1.5
+  /// lattice-scattering law and the thresholds drop ~2 mV/K with rising
+  /// temperature. Geometry, interconnect and the alpha-power shape
+  /// parameters are corner independent and are left untouched, so one
+  /// extraction serves all corners. scaled(kTypical, 1.0, temperature_c)
+  /// with the current temperature returns a bitwise-identical copy — MCMM's
+  /// "nominal scenario equals the base run" contract relies on that.
+  Technology scaled(ProcessCorner process, double vdd_scale,
+                    double new_temperature_c) const;
 };
 
 }  // namespace xtalk::device

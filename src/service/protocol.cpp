@@ -13,6 +13,38 @@ constexpr std::uint8_t kNumFaultPolicies = 2;
 constexpr std::uint8_t kNumBudgetPolicies = 2;
 constexpr std::uint8_t kNumEcoOps = 6;
 constexpr std::uint8_t kNumErrorCodes = 8;
+constexpr std::uint8_t kNumProcessCorners = 3;
+
+/// The one wire encoding of sta::Scenario, shared by RunSpec and
+/// SlackQueryMsg. The v5 fields come first; v6 appended override_mode, mode
+/// and process.
+void encode_scenario(util::WireWriter& w, const sta::Scenario& s) {
+  w.str(s.name);
+  w.f64(s.vdd_scale);
+  w.f64(s.temperature_c);
+  w.f64(s.coupling_derate);
+  w.boolean(s.override_mode);
+  w.u8(static_cast<std::uint8_t>(s.mode));
+  w.u8(static_cast<std::uint8_t>(s.process));
+}
+
+bool decode_scenario(util::WireReader& r, sta::Scenario* s) {
+  if (!r.str(&s->name)) return false;
+  if (!r.f64(&s->vdd_scale)) return false;
+  if (!r.f64(&s->temperature_c)) return false;
+  if (!r.f64(&s->coupling_derate)) return false;
+  if (!r.boolean(&s->override_mode)) return false;
+  std::uint8_t v;
+  if (!r.enum8(&v, kNumAnalysisModes)) return false;
+  s->mode = static_cast<sta::AnalysisMode>(v);
+  if (!r.enum8(&v, kNumProcessCorners)) return false;
+  s->process = static_cast<device::ProcessCorner>(v);
+  return true;
+}
+
+/// Smallest encode_scenario output: empty name (u32 length), three f64s,
+/// the override flag and two enum bytes.
+constexpr std::size_t kMinScenarioBytes = 4 + 3 * 8 + 3;
 
 }  // namespace
 
@@ -92,45 +124,16 @@ sta::StaOptions RunSpec::to_options() const {
   o.budget.policy = budget_policy;
   o.collect_metrics = collect_metrics;
   o.trace_path = trace_path;
-  o.coupling_derate = coupling_derate;
-  return o;
-}
-
-sta::Scenario RunSpec::scenario() const {
-  sta::Scenario s;
-  s.name = scenario_name;
-  s.vdd_scale = vdd_scale;
-  s.temperature_c = temperature_c;
-  s.coupling_derate = coupling_derate;
-  return s;
-}
-
-RunSpec RunSpec::from_options(const sta::StaOptions& options) {
-  RunSpec s;
-  s.mode = options.mode;
-  s.delay_model = options.delay_model;
-  s.input_slew = options.input_slew;
-  s.convergence_eps = options.convergence_eps;
-  s.max_passes = options.max_passes;
-  s.esperance = options.esperance;
-  s.esperance_window = options.esperance_window;
-  s.timing_windows = options.timing_windows;
-  s.early_sharp_slew = options.early.sharp_slew;
-  s.early_aiding_assist = options.early.aiding_coupling_assist;
-  s.fault_policy = options.fault_policy;
-  s.deadline_ms = options.budget.deadline_ms;
-  s.max_waveform_calcs = options.budget.max_waveform_calcs;
-  s.budget_policy = options.budget.policy;
-  s.collect_metrics = options.collect_metrics;
-  s.trace_path = options.trace_path;
-  s.coupling_derate = options.coupling_derate;
-  return s;
+  return sta::apply_scenario(o, scenario);
 }
 
 std::string RunSpec::cache_key() const {
   RunSpec numeric = *this;
   numeric.trace_path.clear();
   numeric.collect_metrics = false;
+  if (numeric.scenario.override_mode) numeric.mode = numeric.scenario.mode;
+  numeric.scenario.override_mode = false;
+  numeric.scenario.mode = sta::Scenario{}.mode;
   util::WireWriter w;
   numeric.encode(w);
   return std::string(reinterpret_cast<const char*>(w.data().data()),
@@ -154,10 +157,7 @@ void RunSpec::encode(util::WireWriter& w) const {
   w.u8(static_cast<std::uint8_t>(budget_policy));
   w.boolean(collect_metrics);
   w.str(trace_path);
-  w.str(scenario_name);
-  w.f64(vdd_scale);
-  w.f64(temperature_c);
-  w.f64(coupling_derate);
+  encode_scenario(w, scenario);
 }
 
 bool RunSpec::decode(util::WireReader& r) {
@@ -182,10 +182,7 @@ bool RunSpec::decode(util::WireReader& r) {
   budget_policy = static_cast<util::BudgetPolicy>(v);
   if (!r.boolean(&collect_metrics)) return false;
   if (!r.str(&trace_path)) return false;
-  if (!r.str(&scenario_name)) return false;
-  if (!r.f64(&vdd_scale)) return false;
-  if (!r.f64(&temperature_c)) return false;
-  return r.f64(&coupling_derate);
+  return decode_scenario(r, &scenario);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,31 +238,13 @@ bool EcoResumeMsg::decode(util::WireReader& r) { return r.u64(&token); }
 // SlackQueryMsg
 // ---------------------------------------------------------------------------
 
-void WireScenario::encode(util::WireWriter& w) const {
-  w.str(name);
-  w.f64(vdd_scale);
-  w.f64(temperature_c);
-  w.f64(coupling_derate);
-  w.boolean(override_mode);
-  w.u8(mode);
-}
-
-bool WireScenario::decode(util::WireReader& r) {
-  if (!r.str(&name)) return false;
-  if (!r.f64(&vdd_scale)) return false;
-  if (!r.f64(&temperature_c)) return false;
-  if (!r.f64(&coupling_derate)) return false;
-  if (!r.boolean(&override_mode)) return false;
-  return r.enum8(&mode, kNumAnalysisModes);
-}
-
 void SlackQueryMsg::encode(util::WireWriter& w) const {
   spec.encode(w);
   w.u32(net);
   w.boolean(rising);
   w.f64(required_time);
   w.array(scenarios.size());
-  for (const WireScenario& s : scenarios) s.encode(w);
+  for (const sta::Scenario& s : scenarios) encode_scenario(w, s);
 }
 
 bool SlackQueryMsg::decode(util::WireReader& r) {
@@ -274,10 +253,10 @@ bool SlackQueryMsg::decode(util::WireReader& r) {
   if (!r.boolean(&rising)) return false;
   if (!r.f64(&required_time)) return false;
   std::uint32_t n;
-  if (!r.array(&n, /*min_item_bytes=*/30)) return false;
+  if (!r.array(&n, kMinScenarioBytes)) return false;
   scenarios.resize(n);
-  for (WireScenario& s : scenarios) {
-    if (!s.decode(r)) return false;
+  for (sta::Scenario& s : scenarios) {
+    if (!decode_scenario(r, &s)) return false;
   }
   return true;
 }

@@ -25,12 +25,15 @@
 #include <vector>
 
 #include "sta/engine.hpp"
+#include "sta/scenario.hpp"
 #include "util/wire.hpp"
 
 namespace xtalk::service {
 
-/// v5: RunSpec and RunResultMsg dropped their scheduler byte.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// v5: RunSpec and RunResultMsg dropped their scheduler byte. v6: RunSpec
+/// and SlackQueryMsg carry one scenario encoding, which gained the mode
+/// override and the process corner.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 /// Frame header size on the socket (payload length prefix).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
@@ -123,27 +126,19 @@ struct RunSpec {
   util::BudgetPolicy budget_policy = util::BudgetPolicy::kAnytime;
   bool collect_metrics = false;
   std::string trace_path;
-  // MCMM scenario identity (v4): the V/T corner the session regrids its
-  // device model to, the per-scenario coupling derate, and the scenario
-  // name for reports. Defaults describe the nominal scenario, whose wire
-  // encoding therefore still maps onto the pre-v4 semantics.
-  std::string scenario_name = "nominal";
-  double vdd_scale = 1.0;
-  double temperature_c = 25.0;
-  double coupling_derate = 1.0;
+  /// The analysis scenario: corner (process, V/T) the session derives its
+  /// device model for, coupling derate, optional mode override, and the
+  /// name reports use. The default is the nominal scenario.
+  sta::Scenario scenario;
 
-  /// Materialize as engine options (pool/num_threads left to the caller;
-  /// the V/T corner lives in the session's per-corner context, not in
-  /// StaOptions).
+  /// Materialize as engine options: apply_scenario over the spec's base
+  /// options (pool/num_threads left to the caller; the corner lives in the
+  /// session's per-corner context, not in StaOptions).
   sta::StaOptions to_options() const;
-  /// The scenario this spec names (mode override unset: `mode` already is
-  /// this spec's mode).
-  sta::Scenario scenario() const;
-  /// Capture the numeric identity of existing options.
-  static RunSpec from_options(const sta::StaOptions& options);
-  /// Cache key for baseline result sharing: the encoded numeric fields,
-  /// excluding trace_path/collect_metrics (observability never changes
-  /// numbers).
+  /// Cache key for baseline result sharing: the encoded numeric fields of
+  /// the effective spec — the mode override folded into `mode` and
+  /// cleared, trace_path/collect_metrics excluded (observability never
+  /// changes numbers) — so two specs naming one analysis memoize once.
   std::string cache_key() const;
 
   void encode(util::WireWriter& w) const;
@@ -197,28 +192,15 @@ struct EcoResumeMsg {
   bool decode(util::WireReader& r);
 };
 
-/// One scenario of a multi-scenario slack query (v4): overrides applied on
-/// top of the query's base RunSpec to name that scenario's baseline.
-struct WireScenario {
-  std::string name;
-  double vdd_scale = 1.0;
-  double temperature_c = 25.0;
-  double coupling_derate = 1.0;
-  bool override_mode = false;
-  std::uint8_t mode = 0;  ///< sta::AnalysisMode when override_mode
-
-  void encode(util::WireWriter& w) const;
-  bool decode(util::WireReader& r);
-};
-
 struct SlackQueryMsg {
   RunSpec spec;             ///< which baseline to read (computed on demand)
   std::uint32_t net = 0;    ///< endpoint net
   bool rising = true;
   double required_time = 0.0;  ///< slack = required - arrival
-  /// Scenarios to evaluate (v4): the response carries the minimum slack
-  /// over all of them (worst-across-scenarios). Empty = just `spec`.
-  std::vector<WireScenario> scenarios;
+  /// Scenarios to evaluate (v4): each replaces `spec.scenario`, and the
+  /// response carries the minimum slack over all of them
+  /// (worst-across-scenarios). Empty = just `spec`.
+  std::vector<sta::Scenario> scenarios;
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);
@@ -326,8 +308,8 @@ struct SlackMsg {
   bool valid = false;  ///< endpoint exists in the baseline
   double arrival = 0.0;  ///< of the worst scenario
   double slack = 0.0;    ///< minimum over the queried scenarios
-  /// Name of the scenario owning the minimum slack (v4): the query's
-  /// scenario_name on a single-scenario query; first-wins on exact ties.
+  /// Name of the scenario owning the minimum slack (v4): the name of the
+  /// spec's scenario on a single-scenario query; first-wins on exact ties.
   std::string worst_scenario;
 
   void encode(util::WireWriter& w) const;

@@ -799,13 +799,9 @@ void XtalkServer::handle_query_slack(Executor& ex, Connection& conn,
     specs.push_back(q.spec);
   } else {
     specs.reserve(q.scenarios.size());
-    for (const WireScenario& s : q.scenarios) {
+    for (const sta::Scenario& s : q.scenarios) {
       RunSpec spec = q.spec;
-      spec.scenario_name = s.name;
-      spec.vdd_scale = s.vdd_scale;
-      spec.temperature_c = s.temperature_c;
-      spec.coupling_derate = s.coupling_derate;
-      if (s.override_mode) spec.mode = static_cast<sta::AnalysisMode>(s.mode);
+      spec.scenario = s;
       specs.push_back(std::move(spec));
     }
   }
@@ -822,7 +818,7 @@ void XtalkServer::handle_query_slack(Executor& ex, Connection& conn,
         m.valid = true;
         m.arrival = e.arrival;
         m.slack = slack;
-        m.worst_scenario = spec.scenario_name;
+        m.worst_scenario = spec.scenario.name;
       }
       break;
     }

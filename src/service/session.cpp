@@ -62,11 +62,11 @@ std::size_t DesignSession::corners_cached() const {
 std::shared_ptr<const sta::ScenarioContext> DesignSession::corner_locked(
     const RunSpec& spec) {
   const bool need_nldm = spec.delay_model == sta::DelayModel::kNldm;
-  const sta::Scenario scenario = spec.scenario();
-  const auto key = std::make_pair(sta::corner_key(scenario), need_nldm);
+  const auto key = std::make_pair(sta::corner_key(spec.scenario), need_nldm);
   auto it = corners_.find(key);
   if (it != corners_.end()) return it->second;
-  auto ctx = sta::ScenarioContext::make(design_.view(), scenario, need_nldm);
+  auto ctx =
+      sta::ScenarioContext::make(design_.view(), spec.scenario, need_nldm);
   corners_.emplace(key, ctx);
   return ctx;
 }

@@ -37,10 +37,11 @@ inline constexpr std::uint16_t kSnapKindBaselines = 2;   ///< memoized RunSpecs
 inline constexpr std::uint16_t kSnapKindDesign = 3;      ///< design recipe
 /// v2: RunSpec gained the MCMM scenario identity (name, vdd_scale,
 /// temperature, coupling derate). v3: RunSpec lost its scheduler byte.
-/// Both change the encoded baseline/WAL-open payloads; older state files
+/// v4: RunSpec's scenario gained the mode override and the process corner.
+/// Each changes the encoded baseline/WAL-open payloads; older state files
 /// load as kVersionSkew and the server starts cold — never a half-decoded
 /// spec.
-inline constexpr std::uint16_t kSnapVersion = 3;
+inline constexpr std::uint16_t kSnapVersion = 4;
 
 class DesignSession {
  public:
@@ -59,11 +60,11 @@ class DesignSession {
   /// Number of cached baselines (observability).
   std::size_t baselines_cached() const;
 
-  /// The per-corner device-model context (scaled technology, regridded
-  /// tables, NLDM when the spec's delay model needs one) for `spec`'s V/T
-  /// corner, built on first use and shared by every baseline and ECO
-  /// session at that corner. The nominal corner borrows the base design's
-  /// model untouched (pre-v4 behaviour, bitwise).
+  /// The per-corner device-model context (scaled technology, rebuilt
+  /// tables, NLDM when the spec's delay model needs one) for the corner
+  /// (process, V/T) of `spec`'s scenario, built on first use and shared by
+  /// every baseline and ECO session at that corner. The nominal corner
+  /// borrows the base design's model untouched (pre-v4 behaviour, bitwise).
   std::shared_ptr<const sta::ScenarioContext> corner(const RunSpec& spec);
 
   /// Number of cached corner contexts (observability).
@@ -91,7 +92,7 @@ class DesignSession {
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const sta::StaResult>> baselines_;
   std::map<std::string, RunSpec> baseline_specs_;  ///< cache_key → spec
-  /// Corner contexts keyed on (V/T bits, needs-NLDM); immutable once built.
+  /// Corner contexts keyed on (corner, needs-NLDM); immutable once built.
   std::map<std::pair<sta::CornerKey, bool>,
            std::shared_ptr<const sta::ScenarioContext>>
       corners_;
@@ -109,7 +110,7 @@ struct EcoSession {
                       util::CancelToken* cancel = nullptr);
 
   RunSpec spec;
-  /// Keeps this session's V/T corner model alive (shared with the base
+  /// Keeps this session's corner model alive (shared with the base
   /// session's corner cache; the editor's COW view borrows its tables).
   std::shared_ptr<const sta::ScenarioContext> corner;
   std::unique_ptr<sta::incremental::DesignEditor> editor;

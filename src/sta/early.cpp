@@ -23,6 +23,7 @@ util::Pwl early_sharp_ramp(const device::Technology& tech,
 }
 
 void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
+                          double coupling_derate,
                           delaycalc::ArcDelayCalculator& calc,
                           const util::Pwl& sharp_rise,
                           const util::Pwl& sharp_fall, netlist::GateId g,
@@ -42,7 +43,7 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
                       tech.miller_gate_factor * nl.net_pin_cap(out);
   // Same per-scenario coupling derate as the classification this bound
   // feeds (1.0 = exact no-op).
-  const double cc_sum = options.coupling_derate *
+  const double cc_sum = coupling_derate *
                         design.parasitics->net(out).total_coupling_cap();
   // An aiding kick of the full divider step can advance the threshold
   // crossing by roughly dV / slope.
@@ -77,7 +78,8 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
 }
 
 EarlyTimes compute_early_activity(const DesignView& design,
-                                  const EarlyOptions& options) {
+                                  const EarlyOptions& options,
+                                  double coupling_derate) {
   const netlist::Netlist& nl = *design.netlist;
   const device::Technology& tech = design.tables->tech();
   delaycalc::ArcDelayCalculator calc(*design.tables);
@@ -97,8 +99,8 @@ EarlyTimes compute_early_activity(const DesignView& design,
   // earlier topological positions, so per-gate recomputation (the kernel)
   // composes to the same numbers in any topological order.
   for (const netlist::GateId g : design.dag->topo_order) {
-    recompute_gate_early(design, options, calc, sharp_rise, sharp_fall, g,
-                         early);
+    recompute_gate_early(design, options, coupling_derate, calc, sharp_rise,
+                         sharp_fall, g, early);
   }
   return early;
 }

@@ -34,9 +34,13 @@ struct EarlyTimes {
 };
 
 /// Run the min-propagation pass. EarlyOptions is declared in engine.hpp
-/// (it is part of StaOptions).
+/// (it is part of StaOptions). `coupling_derate` scales the coupling caps
+/// of the aiding-assist allowance; the engine passes
+/// StaOptions::coupling_derate so the bound sees the same effective caps as
+/// the classification it feeds.
 EarlyTimes compute_early_activity(const DesignView& design,
-                                  const EarlyOptions& options = {});
+                                  const EarlyOptions& options = {},
+                                  double coupling_derate = 1.0);
 
 /// The sharpest input ramps the min-propagation evaluates arcs with.
 /// Factored out so the incremental updater constructs bit-identical
@@ -49,6 +53,7 @@ util::Pwl early_sharp_ramp(const device::Technology& tech,
 /// compute_early_activity and the incremental early updater
 /// (sta/incremental/) so both produce bitwise-identical numbers.
 void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
+                          double coupling_derate,
                           delaycalc::ArcDelayCalculator& calc,
                           const util::Pwl& sharp_rise,
                           const util::Pwl& sharp_fall, netlist::GateId gate,

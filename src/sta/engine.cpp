@@ -10,7 +10,6 @@
 
 #include "extract/elmore.hpp"
 #include "sta/early.hpp"
-#include "sta/scenario.hpp"
 
 namespace xtalk::sta {
 
@@ -77,7 +76,6 @@ void validate_options(const StaOptions& o) {
     throw std::invalid_argument(
         "StaOptions::coupling_derate must be finite and >= 0");
   }
-  for (const Scenario& s : o.scenarios) validate_scenario(s);
 }
 
 /// Exact double comparison treating NaN == NaN ("same bits", not IEEE).
@@ -997,30 +995,19 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
   // Pass-anchored coupling snapshot as static structure (classify_coupling
   // reads it on every neighbour). Rebuilt per run — the DAG may have been
   // incrementally re-levelized between runs of a reused engine.
-  // An MCMM invocation (StaOptions::shared) runs its scenarios over one
-  // immutable design, so the snapshot is built once and adopted by every
-  // later scenario; adoption is bitwise what the loop below computes.
   {
     const netlist::Netlist& nl = *design_.netlist;
-    if (options_.shared != nullptr &&
-        !options_.shared->net_ready_level.empty()) {
-      net_ready_level_ = options_.shared->net_ready_level;
-    } else {
-      net_ready_level_.assign(nl.num_nets(),
-                              std::numeric_limits<std::uint32_t>::max());
-      for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
-        const netlist::Gate& gate = nl.gate(g);
-        net_ready_level_[gate.pin_nets[gate.cell->output_pin()]] =
-            design_.dag->gate_level[g] + 1;
-      }
-      // Primary inputs carry stimulus set before any dispatch; a driven net
-      // listed as primary input keeps the stronger "always readable".
-      for (const netlist::NetId pi : nl.primary_inputs()) {
-        net_ready_level_[pi] = 0;
-      }
-      if (options_.shared != nullptr) {
-        options_.shared->net_ready_level = net_ready_level_;
-      }
+    net_ready_level_.assign(nl.num_nets(),
+                            std::numeric_limits<std::uint32_t>::max());
+    for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+      const netlist::Gate& gate = nl.gate(g);
+      net_ready_level_[gate.pin_nets[gate.cell->output_pin()]] =
+          design_.dag->gate_level[g] + 1;
+    }
+    // Primary inputs carry stimulus set before any dispatch; a driven net
+    // listed as primary input keeps the stronger "always readable".
+    for (const netlist::NetId pi : nl.primary_inputs()) {
+      net_ready_level_[pi] = 0;
     }
   }
 
@@ -1052,9 +1039,8 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
         util::TraceSpan early_span(tbuf(0), "sta.early_activity");
         // The early bound must see the same effective coupling caps as the
         // classification it feeds (its aiding assist scales with them).
-        EarlyOptions eo = options_.early;
-        eo.coupling_derate = options_.coupling_derate;
-        const EarlyTimes early = compute_early_activity(design_, eo);
+        const EarlyTimes early = compute_early_activity(
+            design_, options_.early, options_.coupling_derate);
         early_rise_ = early.rise;
         early_fall_ = early.fall;
       } else {

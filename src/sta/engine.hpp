@@ -55,10 +55,6 @@ struct EarlyOptions {
   /// crossing). Keeping it guarantees a sound lower bound but weakens the
   /// windows considerably; industrial analyzers typically drop it.
   bool aiding_coupling_assist = true;
-  /// Coupling-cap multiplier of the aiding-assist allowance. The engine
-  /// copies StaOptions::coupling_derate here so the early bound sees the
-  /// same effective coupling caps as the classification it feeds.
-  double coupling_derate = 1.0;
 };
 
 /// Which gate delay engine the analysis uses.
@@ -71,43 +67,6 @@ enum class DelayModel {
   /// the baseline the paper argues against — much faster, but modes
   /// kWorstCase/kOneStep/kIterative degenerate toward kStaticDoubled.
   kNldm,
-};
-
-/// One operating scenario of a multi-corner/multi-scenario (MCMM) run: a
-/// V/T corner of the alpha-power device model plus a per-scenario coupling
-/// treatment. Scenarios whose (vdd_scale, temperature_c) bits match share
-/// one device-table build (and one NLDM characterization) — see
-/// sta/scenario.hpp and run_mcmm (sta/mcmm.hpp).
-struct Scenario {
-  std::string name = "nominal";
-  /// Supply scale vs. the base technology (1.0 = nominal), applied via
-  /// device::Technology::scaled().
-  double vdd_scale = 1.0;
-  /// Junction temperature [Celsius] (mobility ~T^-1.5, Vth -2 mV/K).
-  double temperature_c = 25.0;
-  /// When set, this scenario runs `mode` instead of StaOptions::mode
-  /// (e.g. a signoff corner in kIterative while exploration corners run
-  /// kOneStep).
-  bool override_mode = false;
-  AnalysisMode mode = AnalysisMode::kOneStep;
-  /// Multiplier on every coupling cap the analysis sees (classification,
-  /// load splits, early-activity assist). 1.0 = the physical extraction;
-  /// > 1 adds per-scenario pessimism. Replaces (not multiplies) the base
-  /// StaOptions::coupling_derate under apply_scenario.
-  double coupling_derate = 1.0;
-};
-
-/// Cross-scenario shared front-end structure of one MCMM invocation,
-/// borrowed via StaOptions::shared. The first engine to need a piece
-/// builds and publishes it; later engines adopt it instead of rebuilding.
-/// NOT thread-safe — the scenarios of one invocation run sequentially over
-/// one immutable design. Never reuse an instance across netlist edits or
-/// re-levelization (the ECO path does not set it); adopted values are
-/// bitwise the ones an unshared engine computes, so results are unchanged.
-struct ScenarioShared {
-  /// Pass-anchored coupling snapshot (see StaEngine::net_ready_level_).
-  /// Empty = not built yet.
-  std::vector<std::uint32_t> net_ready_level;
 };
 
 struct StaOptions {
@@ -138,17 +97,6 @@ struct StaOptions {
   /// > 1.0 adds pessimism (e.g. a derated signoff scenario), values in
   /// (0, 1) relax it. Must be finite and >= 0.
   double coupling_derate = 1.0;
-  /// MCMM scenario list, consumed by run_mcmm (sta/mcmm.hpp): one
-  /// invocation runs every scenario while sharing the netlist, parasitics,
-  /// levelization and ready-level snapshot, and scenarios on the same V/T
-  /// corner share device tables + NLDM characterization.
-  /// A plain run_sta / StaEngine::run ignores the list (it runs exactly
-  /// the options it was given); empty means single-scenario.
-  std::vector<Scenario> scenarios;
-  /// Cross-scenario shared structure (borrowed; see ScenarioShared).
-  /// run_mcmm wires this; single runs leave it null. Sharing never changes
-  /// results — adopted structure is bitwise what the engine would build.
-  ScenarioShared* shared = nullptr;
   /// Worker threads for the parallel pass: 0 = one per hardware thread,
   /// 1 = serial. Results are bit-identical for any value — the coupling
   /// classification is anchored to pass start (static ready levels).

@@ -62,6 +62,7 @@ std::vector<netlist::GateId> early_seed_gates(
 /// and a gate's slot changes only if some input of its kernel did.
 std::vector<netlist::NetId> update_early(const sta::DesignView& design,
                                          const EarlyOptions& options,
+                                         double coupling_derate,
                                          const std::vector<netlist::GateId>& seeds,
                                          EarlyTimes& early,
                                          util::RunGovernor* governor) {
@@ -96,8 +97,8 @@ std::vector<netlist::NetId> update_early(const sta::DesignView& design,
       const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
       const double old_rise = early.rise[out];
       const double old_fall = early.fall[out];
-      recompute_gate_early(design, options, calc, sharp_rise, sharp_fall, g,
-                           early);
+      recompute_gate_early(design, options, coupling_derate, calc, sharp_rise,
+                           sharp_fall, g, early);
       if (early.rise[out] == old_rise && early.fall[out] == old_fall) continue;
       changed.push_back(out);
       for (const netlist::PinRef& s : nl.net(out).sinks) {
@@ -145,13 +146,11 @@ StaResult IncrementalSta::run() {
     if (inject_early && !edits.empty()) {
       util::TraceSpan span(engine.trace_buffer(), "eco.update_early", "edits",
                            static_cast<std::int64_t>(edits.size()));
-      // Mirror StaEngine::run's early-options derate copy so the
-      // incremental bound is bitwise the from-scratch one.
-      EarlyOptions eo = options_.early;
-      eo.coupling_derate = options_.coupling_derate;
+      // Same derate as StaEngine::run's early bound, so the incremental
+      // bound is bitwise the from-scratch one.
       const std::vector<netlist::NetId> moved = update_early(
-          view, eo, early_seed_gates(*view.netlist, edits),
-          early_, &engine.governor());
+          view, options_.early, options_.coupling_derate,
+          early_seed_gates(*view.netlist, edits), early_, &engine.governor());
       for (const netlist::NetId n : moved) {
         extra_seeds.push_back(n);
         for (const extract::NeighborCap& nb :

@@ -16,13 +16,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-McmmResult run_mcmm(const DesignView& design, const StaOptions& options) {
+McmmResult run_mcmm(const DesignView& design, const StaOptions& options,
+                    std::vector<Scenario> scenarios) {
   const auto t_start = std::chrono::steady_clock::now();
 
-  std::vector<Scenario> scenarios = options.scenarios;
   if (scenarios.empty()) scenarios.push_back(Scenario{});
-  // apply_scenario strips the list before the per-scenario engine runs, so
-  // the engine's own validation never sees these — check them here.
   for (const Scenario& s : scenarios) validate_scenario(s);
 
   // One pool for the whole invocation: scenario runs reuse the workers
@@ -34,11 +32,6 @@ McmmResult run_mcmm(const DesignView& design, const StaOptions& options) {
         util::ThreadPool::resolve_threads(options.num_threads));
     pool = owned_pool.get();
   }
-
-  // Front-end structure shared across the scenario runs (adopt-or-publish;
-  // see ScenarioShared). Scoped to this invocation — the design is
-  // immutable for its duration.
-  ScenarioShared shared;
 
   const bool need_nldm = options.delay_model == DelayModel::kNldm;
   std::map<CornerKey, std::shared_ptr<const ScenarioContext>> corners;
@@ -64,7 +57,6 @@ McmmResult run_mcmm(const DesignView& design, const StaOptions& options) {
 
     StaOptions opt = apply_scenario(options, s);
     opt.pool = pool;
-    opt.shared = &shared;
     run.result = run_sta(ctx->view(design), opt);
     out.runs.push_back(std::move(run));
   }

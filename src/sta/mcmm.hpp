@@ -1,9 +1,8 @@
-// Multi-corner/multi-scenario (MCMM) driver: run every scenario of
-// StaOptions::scenarios over one design in a single invocation, sharing
-// everything scenario-invariant — netlist, parasitics, levelization, the
-// worker pool and the pass-anchored ready-level snapshot (ScenarioShared)
-// — and sharing device tables plus NLDM characterization between scenarios
-// on the same V/T corner (ScenarioContext). Each scenario's StaResult is
+// Multi-corner/multi-scenario (MCMM) driver: run a list of scenarios over
+// one design in a single invocation, sharing everything scenario-invariant
+// — netlist, parasitics, levelization and the worker pool — and sharing
+// device tables plus NLDM characterization between scenarios on the same
+// corner (ScenarioContext). Each scenario's StaResult is
 // bitwise identical to a standalone run_sta of that scenario (same corner
 // view, same apply_scenario options), for any thread count; the sharing
 // only removes redundant construction, never changes a computed value.
@@ -30,19 +29,23 @@ struct ScenarioRun {
 };
 
 struct McmmResult {
-  /// One entry per scenario, in StaOptions::scenarios order.
+  /// One entry per scenario, in the order of the scenario list.
   std::vector<ScenarioRun> runs;
-  /// Distinct (vdd_scale, temperature_c) corners the invocation built.
+  /// Distinct (process, vdd_scale, temperature_c) corners the invocation
+  /// built.
   std::size_t unique_corners = 0;
   /// End-to-end wall seconds (corner builds + all scenario runs).
   double runtime_seconds = 0.0;
 };
 
-/// Run all scenarios of `options.scenarios` (an empty list means one
-/// implicit nominal scenario) against `design`. Scenarios run sequentially
-/// on one shared worker pool — the parallelism lives inside each pass, and
-/// sequential scenarios keep the per-scenario results bitwise reproducible
-/// and the peak memory at a single run's footprint.
-McmmResult run_mcmm(const DesignView& design, const StaOptions& options);
+/// Run every scenario of `scenarios` (an empty list means one implicit
+/// nominal scenario) against `design`, each with apply_scenario(options, s).
+/// Throws std::invalid_argument on a malformed scenario (validate_scenario).
+/// Scenarios run sequentially on one shared worker pool — the parallelism
+/// lives inside each pass, and sequential scenarios keep the per-scenario
+/// results bitwise reproducible and the peak memory at a single run's
+/// footprint.
+McmmResult run_mcmm(const DesignView& design, const StaOptions& options,
+                    std::vector<Scenario> scenarios);
 
 }  // namespace xtalk::sta

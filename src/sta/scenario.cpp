@@ -35,14 +35,16 @@ void validate_scenario(const Scenario& s) {
 }
 
 CornerKey corner_key(const Scenario& s) {
-  return CornerKey{double_bits(s.vdd_scale), double_bits(s.temperature_c)};
+  return CornerKey{s.process, double_bits(s.vdd_scale),
+                   double_bits(s.temperature_c)};
 }
 
 std::shared_ptr<const ScenarioContext> ScenarioContext::make(
     const DesignView& base, const Scenario& s, bool need_nldm) {
   auto ctx = std::shared_ptr<ScenarioContext>(new ScenarioContext());
   const device::Technology& base_tech = base.tables->tech();
-  if (s.vdd_scale == 1.0 && s.temperature_c == base_tech.temperature_c) {
+  if (s.process == device::ProcessCorner::kTypical && s.vdd_scale == 1.0 &&
+      s.temperature_c == base_tech.temperature_c) {
     // Identity corner: borrow the base model so the nominal scenario is
     // bitwise a plain run (including a null nldm falling back to the
     // shared half-micron characterization).
@@ -51,7 +53,7 @@ std::shared_ptr<const ScenarioContext> ScenarioContext::make(
     return ctx;
   }
   ctx->tech_ = std::make_unique<device::Technology>(
-      base_tech.scaled(s.vdd_scale, s.temperature_c));
+      base_tech.scaled(s.process, s.vdd_scale, s.temperature_c));
   ctx->owned_tables_ = std::make_unique<device::DeviceTableSet>(*ctx->tech_);
   ctx->tables_ = ctx->owned_tables_.get();
   if (need_nldm) {
@@ -74,8 +76,6 @@ DesignView ScenarioContext::view(const DesignView& base) const {
 
 StaOptions apply_scenario(const StaOptions& base, const Scenario& s) {
   StaOptions opt = base;
-  opt.scenarios.clear();
-  opt.shared = nullptr;
   if (s.override_mode) opt.mode = s.mode;
   opt.coupling_derate = s.coupling_derate;
   return opt;

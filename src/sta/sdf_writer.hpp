@@ -5,7 +5,8 @@
 // delays (tree Elmore), i.e. the standard "SDF from .lib + SPEF" flow that
 // downstream gate-level simulators consume. Rise/fall values are written
 // as (min:typ:max) triples with min = typ = max (single corner per file;
-// use Design::run_at_corner-style table sets for other corners).
+// for another corner, pass the library ScenarioContext::make characterizes
+// for that scenario with need_nldm set).
 #pragma once
 
 #include <string>

@@ -2,14 +2,14 @@
 // of a multi-corner/multi-scenario invocation must be bitwise identical to
 // a standalone single-scenario run with the same effective options — for
 // any thread count — because the cross-scenario sharing (netlist,
-// parasitics, levelization, ready-level snapshot, per-corner device tables
-// and NLDM characterization) only removes redundant construction, never
-// changes a computed value.
+// parasitics, levelization, worker pool, per-corner device tables and NLDM
+// characterization) only removes redundant construction, never changes a
+// computed value. Corners span both axes: process (slow/fast) and V/T.
 //
 // Also covered here: the merged worst-scenario slack report (elementwise
 // minimum over per-scenario slacks), governor-truncated multi-scenario
 // runs staying conservative per scenario, scenario validation, and the
-// device-table seam of the V/T corner axis (grid vmax, the kTableRange
+// device-table seam of the corner axis (grid vmax, the kTableRange
 // warning, per-corner regridding).
 #include "sta/mcmm.hpp"
 
@@ -38,10 +38,13 @@ const core::Design& mcmm_design() {
   return d;
 }
 
-/// Two V/T corners, one of them analyzed twice (plain + derated), plus a
-/// mode-override scenario — every axis of the Scenario struct exercised.
+/// Two V/T corners, one of them analyzed twice (plain + derated), a
+/// mode-override scenario, a process corner at nominal V/T, and a process
+/// corner on the fast V/T point with a coupling derate (a distinct corner
+/// from "fast": the process is part of CornerKey) — every axis of the
+/// Scenario struct exercised.
 std::vector<Scenario> corner_set() {
-  std::vector<Scenario> s(4);
+  std::vector<Scenario> s(6);
   s[0].name = "nominal";
   s[1].name = "fast";
   s[1].vdd_scale = 1.1;
@@ -55,6 +58,13 @@ std::vector<Scenario> corner_set() {
   s[3].temperature_c = 125.0;
   s[3].override_mode = true;
   s[3].mode = AnalysisMode::kStaticDoubled;
+  s[4].name = "process_slow";
+  s[4].process = device::ProcessCorner::kSlow;
+  s[5].name = "process_fast_derated";
+  s[5].process = device::ProcessCorner::kFast;
+  s[5].vdd_scale = 1.1;
+  s[5].temperature_c = -40.0;
+  s[5].coupling_derate = 1.2;
   return s;
 }
 
@@ -111,13 +121,15 @@ TEST(Mcmm, ScenariosBitwiseEqualStandaloneAcrossThreads) {
   // The corners genuinely differ — sharing must not blur them.
   EXPECT_NE(reference[0].longest_path_delay, reference[1].longest_path_delay);
   EXPECT_NE(reference[1].longest_path_delay, reference[2].longest_path_delay);
+  EXPECT_NE(reference[0].longest_path_delay, reference[4].longest_path_delay);
+  EXPECT_NE(reference[2].longest_path_delay, reference[5].longest_path_delay);
 
   for (const int threads : {1, 2, 4}) {
-    StaOptions opt = base_options(threads);
-    opt.scenarios = scenarios;
-    const McmmResult m = run_mcmm(mcmm_design().view(), opt);
+    const McmmResult m =
+        run_mcmm(mcmm_design().view(), base_options(threads), scenarios);
     ASSERT_EQ(m.runs.size(), scenarios.size());
-    EXPECT_EQ(m.unique_corners, 3u);  // nominal, fast, slow
+    // nominal, fast, slow, process_slow, process_fast_derated
+    EXPECT_EQ(m.unique_corners, 5u);
     for (std::size_t i = 0; i < m.runs.size(); ++i) {
       SCOPED_TRACE(scenarios[i].name + " threads " + std::to_string(threads));
       expect_identical(m.runs[i].result, reference[i]);
@@ -128,7 +140,7 @@ TEST(Mcmm, ScenariosBitwiseEqualStandaloneAcrossThreads) {
 TEST(Mcmm, EmptyScenarioListRunsImplicitNominalBitwiseEqualToPlainRun) {
   const StaOptions opt = base_options();
   const StaResult plain = run_sta(mcmm_design().view(), opt);
-  const McmmResult m = run_mcmm(mcmm_design().view(), opt);
+  const McmmResult m = run_mcmm(mcmm_design().view(), opt, {});
   ASSERT_EQ(m.runs.size(), 1u);
   EXPECT_EQ(m.runs[0].scenario.name, "nominal");
   EXPECT_FALSE(m.runs[0].shared_corner);
@@ -136,16 +148,18 @@ TEST(Mcmm, EmptyScenarioListRunsImplicitNominalBitwiseEqualToPlainRun) {
 }
 
 TEST(Mcmm, SameCornerScenariosShareOneContext) {
-  StaOptions opt = base_options();
-  opt.scenarios = corner_set();
-  const McmmResult m = run_mcmm(mcmm_design().view(), opt);
-  ASSERT_EQ(m.runs.size(), 4u);
-  EXPECT_EQ(m.unique_corners, 3u);
+  const McmmResult m =
+      run_mcmm(mcmm_design().view(), base_options(), corner_set());
+  ASSERT_EQ(m.runs.size(), 6u);
+  EXPECT_EQ(m.unique_corners, 5u);
   // fast_derated rides on fast's corner: no second table build.
   EXPECT_FALSE(m.runs[1].shared_corner);
   EXPECT_TRUE(m.runs[2].shared_corner);
   EXPECT_EQ(m.runs[2].prep_seconds, 0.0);
   EXPECT_FALSE(m.runs[3].shared_corner);
+  // A process corner is its own corner, also on fast's V/T bits.
+  EXPECT_FALSE(m.runs[4].shared_corner);
+  EXPECT_FALSE(m.runs[5].shared_corner);
 }
 
 TEST(Mcmm, NldmCornersRecharacterizeAndStayBitwise) {
@@ -158,26 +172,26 @@ TEST(Mcmm, NldmCornersRecharacterizeAndStayBitwise) {
   opt.mode = AnalysisMode::kOneStep;
   opt.delay_model = DelayModel::kNldm;
   opt.num_threads = 1;
-  opt.scenarios.resize(3);
-  opt.scenarios[0].name = "nominal";
-  opt.scenarios[1].name = "fast";
-  opt.scenarios[1].vdd_scale = 1.1;
-  opt.scenarios[1].temperature_c = -40.0;
-  opt.scenarios[2].name = "fast_derated";
-  opt.scenarios[2].vdd_scale = 1.1;
-  opt.scenarios[2].temperature_c = -40.0;
-  opt.scenarios[2].coupling_derate = 1.25;
+  std::vector<Scenario> scenarios(3);
+  scenarios[0].name = "nominal";
+  scenarios[1].name = "fast";
+  scenarios[1].vdd_scale = 1.1;
+  scenarios[1].temperature_c = -40.0;
+  scenarios[2].name = "fast_derated";
+  scenarios[2].vdd_scale = 1.1;
+  scenarios[2].temperature_c = -40.0;
+  scenarios[2].coupling_derate = 1.25;
 
-  const McmmResult m = run_mcmm(d.view(), opt);
+  const McmmResult m = run_mcmm(d.view(), opt, scenarios);
   ASSERT_EQ(m.runs.size(), 3u);
   EXPECT_EQ(m.unique_corners, 2u);
   EXPECT_TRUE(m.runs[2].shared_corner);
   for (std::size_t i = 0; i < m.runs.size(); ++i) {
-    SCOPED_TRACE(opt.scenarios[i].name);
+    SCOPED_TRACE(scenarios[i].name);
     const auto ctx =
-        ScenarioContext::make(d.view(), opt.scenarios[i], /*need_nldm=*/true);
+        ScenarioContext::make(d.view(), scenarios[i], /*need_nldm=*/true);
     const StaResult ref =
-        run_sta(ctx->view(d.view()), apply_scenario(opt, opt.scenarios[i]));
+        run_sta(ctx->view(d.view()), apply_scenario(opt, scenarios[i]));
     EXPECT_EQ(m.runs[i].result.longest_path_delay, ref.longest_path_delay);
     ASSERT_EQ(m.runs[i].result.timing.size(), ref.timing.size());
     for (std::size_t n = 0; n < ref.timing.size(); ++n) {
@@ -197,9 +211,8 @@ TEST(Mcmm, NldmCornersRecharacterizeAndStayBitwise) {
 // ---------------------------------------------------------------------------
 
 TEST(Mcmm, WorstSlackIsElementwiseMinOverScenarios) {
-  StaOptions opt = base_options();
-  opt.scenarios = corner_set();
-  const McmmResult m = run_mcmm(mcmm_design().view(), opt);
+  const McmmResult m =
+      run_mcmm(mcmm_design().view(), base_options(), corner_set());
 
   double worst_delay = 0.0;
   for (const ScenarioRun& run : m.runs) {
@@ -250,7 +263,7 @@ TEST(Mcmm, WorstSlackIsElementwiseMinOverScenarios) {
   // The human-readable table renders without throwing and names the
   // scenario set.
   const std::string text = format_mcmm_slack(rep, 5);
-  EXPECT_NE(text.find("worst slack over 4 scenario(s)"), std::string::npos);
+  EXPECT_NE(text.find("worst slack over 6 scenario(s)"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,10 +272,9 @@ TEST(Mcmm, WorstSlackIsElementwiseMinOverScenarios) {
 
 TEST(Mcmm, GovernorTruncatedScenariosRemainConservativePerScenario) {
   StaOptions opt = base_options();
-  opt.scenarios = corner_set();
   opt.budget.max_waveform_calcs = 300;  // cuts the 350-gate design mid-run
-  const McmmResult m = run_mcmm(mcmm_design().view(), opt);
-  ASSERT_EQ(m.runs.size(), 4u);
+  const McmmResult m = run_mcmm(mcmm_design().view(), opt, corner_set());
+  ASSERT_EQ(m.runs.size(), 6u);
 
   for (std::size_t i = 0; i < m.runs.size(); ++i) {
     SCOPED_TRACE(m.runs[i].scenario.name);
@@ -307,32 +319,27 @@ TEST(Mcmm, GovernorTruncatedScenariosRemainConservativePerScenario) {
 TEST(Mcmm, MalformedScenariosThrow) {
   const DesignView view = mcmm_design().view();
   StaOptions opt;
-  opt.scenarios.resize(1);
+  std::vector<Scenario> scenarios(1);
 
-  opt.scenarios[0] = Scenario{};
-  opt.scenarios[0].name.clear();
-  EXPECT_THROW(run_mcmm(view, opt), std::invalid_argument);
+  scenarios[0] = Scenario{};
+  scenarios[0].name.clear();
+  EXPECT_THROW(run_mcmm(view, opt, scenarios), std::invalid_argument);
 
-  opt.scenarios[0] = Scenario{};
-  opt.scenarios[0].vdd_scale = 0.0;
-  EXPECT_THROW(run_mcmm(view, opt), std::invalid_argument);
+  scenarios[0] = Scenario{};
+  scenarios[0].vdd_scale = 0.0;
+  EXPECT_THROW(run_mcmm(view, opt, scenarios), std::invalid_argument);
 
-  opt.scenarios[0] = Scenario{};
-  opt.scenarios[0].vdd_scale = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(run_mcmm(view, opt), std::invalid_argument);
+  scenarios[0] = Scenario{};
+  scenarios[0].vdd_scale = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(run_mcmm(view, opt, scenarios), std::invalid_argument);
 
-  opt.scenarios[0] = Scenario{};
-  opt.scenarios[0].temperature_c = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(run_mcmm(view, opt), std::invalid_argument);
+  scenarios[0] = Scenario{};
+  scenarios[0].temperature_c = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_mcmm(view, opt, scenarios), std::invalid_argument);
 
-  opt.scenarios[0] = Scenario{};
-  opt.scenarios[0].coupling_derate = -0.5;
-  EXPECT_THROW(run_mcmm(view, opt), std::invalid_argument);
-
-  // The engine's own validation rejects the same scenarios when handed a
-  // non-empty list directly (plain run_sta ignores the list but still
-  // validates it).
-  EXPECT_THROW(run_sta(view, opt), std::invalid_argument);
+  scenarios[0] = Scenario{};
+  scenarios[0].coupling_derate = -0.5;
+  EXPECT_THROW(run_mcmm(view, opt, scenarios), std::invalid_argument);
 
   StaOptions bad_derate;
   bad_derate.coupling_derate = std::numeric_limits<double>::quiet_NaN();
@@ -345,7 +352,8 @@ TEST(Mcmm, MalformedScenariosThrow) {
 
 TEST(Mcmm, TechnologyScalingIsIdentityAtNominalAndMovesOtherwise) {
   const device::Technology& base = device::Technology::half_micron();
-  const device::Technology same = base.scaled(1.0, base.temperature_c);
+  const device::Technology same =
+      base.scaled(device::ProcessCorner::kTypical, 1.0, base.temperature_c);
   EXPECT_EQ(same.vdd, base.vdd);
   EXPECT_EQ(same.beta_n, base.beta_n);
   EXPECT_EQ(same.beta_p, base.beta_p);
@@ -353,11 +361,13 @@ TEST(Mcmm, TechnologyScalingIsIdentityAtNominalAndMovesOtherwise) {
   EXPECT_EQ(same.vth_p, base.vth_p);
   EXPECT_EQ(same.temperature_c, base.temperature_c);
 
-  const device::Technology hot = base.scaled(0.9, 125.0);
+  const device::Technology hot =
+      base.scaled(device::ProcessCorner::kTypical, 0.9, 125.0);
   EXPECT_EQ(hot.vdd, 0.9 * base.vdd);
   EXPECT_LT(hot.beta_n, base.beta_n);   // mobility ~T^-1.5
   EXPECT_LT(hot.vth_n, base.vth_n);     // -2 mV/K
-  const device::Technology cold = base.scaled(1.1, -40.0);
+  const device::Technology cold =
+      base.scaled(device::ProcessCorner::kTypical, 1.1, -40.0);
   EXPECT_GT(cold.beta_n, base.beta_n);
   EXPECT_GT(cold.vth_n, base.vth_n);
   // Geometry and model shape are operating-point invariant.
@@ -384,6 +394,16 @@ TEST(Mcmm, ScenarioContextRegridsTablesToTheCornerSupply) {
   const auto id = ScenarioContext::make(view, nominal, /*need_nldm=*/false);
   EXPECT_TRUE(id->shares_base_tables());
   EXPECT_EQ(&id->tables(), view.tables);
+
+  // A process corner at nominal V/T is not the identity corner: it builds
+  // its own tables at the base supply.
+  Scenario slow;
+  slow.name = "process_slow";
+  slow.process = device::ProcessCorner::kSlow;
+  const auto ps = ScenarioContext::make(view, slow, /*need_nldm=*/false);
+  EXPECT_FALSE(ps->shares_base_tables());
+  EXPECT_EQ(ps->tables().tech().vdd, view.tables->tech().vdd);
+  EXPECT_LT(ps->tables().tech().beta_n, view.tables->tech().beta_n);
 }
 
 TEST(Mcmm, SupplyBeyondTableGridEmitsRangeWarning) {

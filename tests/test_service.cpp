@@ -1,13 +1,15 @@
 // The analysis service end to end over loopback TCP: protocol round trips,
-// the bitwise service-vs-local contract, ECO sessions, malformed-frame
-// recovery, per-request trace qualification, overload truncation, and the
-// graceful shutdown drain (listener closes first).
+// the bitwise service-vs-local contract (single and multi-scenario), ECO
+// sessions, malformed-frame recovery, durable-state version skew,
+// per-request trace qualification, overload truncation, and the graceful
+// shutdown drain (listener closes first).
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -36,8 +38,9 @@ DesignSession& shared_session() {
 
 /// Server + connected client for one test.
 struct ServerFixture {
-  explicit ServerFixture(ServiceConfig config = {})
-      : server(shared_session(), sanitized(std::move(config))) {
+  explicit ServerFixture(ServiceConfig config = {},
+                         DesignSession& session = shared_session())
+      : server(session, sanitized(std::move(config))) {
     server.start();
   }
   ~ServerFixture() { server.stop(); }
@@ -67,6 +70,13 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   spec.max_waveform_calcs = 4242;
   spec.budget_policy = util::BudgetPolicy::kStrictBudget;
   spec.trace_path = "/tmp/trace.json";
+  spec.scenario.name = "ff_derated";
+  spec.scenario.vdd_scale = 1.1;
+  spec.scenario.temperature_c = -40.0;
+  spec.scenario.coupling_derate = 1.2;
+  spec.scenario.override_mode = true;
+  spec.scenario.mode = sta::AnalysisMode::kStaticDoubled;
+  spec.scenario.process = device::ProcessCorner::kFast;
 
   util::WireWriter w;
   spec.encode(w);
@@ -85,6 +95,26 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   EXPECT_EQ(decoded.max_waveform_calcs, spec.max_waveform_calcs);
   EXPECT_EQ(decoded.budget_policy, spec.budget_policy);
   EXPECT_EQ(decoded.trace_path, spec.trace_path);
+  EXPECT_EQ(decoded.scenario.name, spec.scenario.name);
+  EXPECT_TRUE(bits_equal(decoded.scenario.vdd_scale, spec.scenario.vdd_scale));
+  EXPECT_TRUE(
+      bits_equal(decoded.scenario.temperature_c, spec.scenario.temperature_c));
+  EXPECT_TRUE(bits_equal(decoded.scenario.coupling_derate,
+                         spec.scenario.coupling_derate));
+  EXPECT_EQ(decoded.scenario.override_mode, spec.scenario.override_mode);
+  EXPECT_EQ(decoded.scenario.mode, spec.scenario.mode);
+  EXPECT_EQ(decoded.scenario.process, spec.scenario.process);
+}
+
+/// `spec`'s encoding with its last byte — the scenario's process corner —
+/// replaced by `process_byte`.
+std::vector<std::uint8_t> with_process_byte(const RunSpec& spec,
+                                            std::uint8_t process_byte) {
+  util::WireWriter w;
+  spec.encode(w);
+  std::vector<std::uint8_t> bytes(w.data().begin(), w.data().end() - 1);
+  bytes.push_back(process_byte);
+  return bytes;
 }
 
 TEST(Protocol, RunSpecRejectsOutOfRangeEnums) {
@@ -97,12 +127,56 @@ TEST(Protocol, RunSpecRejectsOutOfRangeEnums) {
   RunSpec decoded;
   EXPECT_FALSE(decoded.decode(r));
   EXPECT_FALSE(r.ok());
+
+  // The scenario's process corner: 2 (kFast) is the last valid value.
+  const std::vector<std::uint8_t> fast = with_process_byte(spec, 2);
+  util::WireReader ok(fast);
+  ASSERT_TRUE(decoded.decode(ok));
+  EXPECT_TRUE(ok.finish());
+  EXPECT_EQ(decoded.scenario.process, device::ProcessCorner::kFast);
+  const std::vector<std::uint8_t> bad = with_process_byte(spec, 3);
+  util::WireReader bad_r(bad);
+  EXPECT_FALSE(decoded.decode(bad_r));
+  EXPECT_FALSE(bad_r.ok());
+
+  // The slack query's scenario list shares the encoding and the check.
+  SlackQueryMsg q;
+  q.scenarios.resize(1);
+  util::WireWriter qw;
+  q.encode(qw);
+  std::vector<std::uint8_t> q_bytes(qw.data().begin(), qw.data().end() - 1);
+  q_bytes.push_back(3);
+  util::WireReader qr(q_bytes);
+  SlackQueryMsg q_decoded;
+  EXPECT_FALSE(q_decoded.decode(qr));
+}
+
+TEST(Protocol, CacheKeyFoldsTheModeOverride) {
+  // One analysis named two ways memoizes once: a kStaticDoubled spec, and
+  // a kOneStep spec whose scenario overrides the mode to kStaticDoubled.
+  RunSpec plain;
+  plain.mode = sta::AnalysisMode::kStaticDoubled;
+  RunSpec overridden;
+  overridden.scenario.override_mode = true;
+  overridden.scenario.mode = sta::AnalysisMode::kStaticDoubled;
+  EXPECT_EQ(plain.cache_key(), overridden.cache_key());
+  EXPECT_EQ(plain.to_options().mode, overridden.to_options().mode);
+  // Without the flag the scenario's mode is inert, and stays out of the key.
+  RunSpec inert = plain;
+  inert.scenario.mode = sta::AnalysisMode::kIterative;
+  EXPECT_EQ(plain.cache_key(), inert.cache_key());
+  // A different analysis keys differently.
+  RunSpec other = overridden;
+  other.scenario.mode = sta::AnalysisMode::kIterative;
+  EXPECT_NE(plain.cache_key(), other.cache_key());
 }
 
 TEST(SessionWal, OldLayoutOpenRecordIsDroppedNotMisdecoded) {
   // A v4 RunSpec carried a scheduler byte after delay_model. Replaying such
   // a kSessionOpen record with the current decoder would read every later
-  // field one byte off; fold_session_wal must drop it instead.
+  // field one byte off; fold_session_wal must drop it instead. A v5
+  // RunSpec ended before the scenario's override flag, mode and process
+  // bytes; it must be dropped too, never completed with defaults.
   std::vector<RunSpec> specs(3);
   specs[1].mode = sta::AnalysisMode::kIterative;
   specs[1].delay_model = sta::DelayModel::kNldm;
@@ -111,10 +185,10 @@ TEST(SessionWal, OldLayoutOpenRecordIsDroppedNotMisdecoded) {
   specs[1].timing_windows = true;
   specs[1].max_waveform_calcs = 4242;
   specs[1].trace_path = "/tmp/trace.json";
-  specs[2].scenario_name = "fast_derated";
-  specs[2].vdd_scale = 1.1;
-  specs[2].temperature_c = -40.0;
-  specs[2].coupling_derate = 1.2;
+  specs[2].scenario.name = "fast_derated";
+  specs[2].scenario.vdd_scale = 1.1;
+  specs[2].scenario.temperature_c = -40.0;
+  specs[2].scenario.coupling_derate = 1.2;
   std::uint64_t token = 1;
   for (const RunSpec& spec : specs) {
     util::WalRecord current;
@@ -129,8 +203,54 @@ TEST(SessionWal, OldLayoutOpenRecordIsDroppedNotMisdecoded) {
       EXPECT_TRUE(fold_session_wal({old}).empty())
           << "spec " << token << " scheduler byte " << int(old_scheduler);
     }
+    util::WalRecord v5 = current;
+    v5.payload.resize(v5.payload.size() - 3);
+    EXPECT_TRUE(fold_session_wal({v5}).empty()) << "spec " << token << " v5";
     ++token;
   }
+}
+
+TEST(SessionSnapshot, V5BaselinesSnapshotLoadsAsVersionSkew) {
+  char tmpl[] = "/tmp/xtalk_svc_snap_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string path = dir + "/baselines.snap";
+
+  // A v5-layout baseline (no override/mode/process bytes) under the v5
+  // snapshot version, as the previous release wrote it.
+  RunSpec spec;
+  util::WireWriter encoded;
+  spec.encode(encoded);
+  std::vector<std::uint8_t> v5_spec = encoded.data();
+  v5_spec.resize(v5_spec.size() - 3);
+  util::WireWriter payload;
+  payload.array(1);
+  for (const std::uint8_t b : v5_spec) payload.u8(b);
+  std::string error;
+  ASSERT_EQ(util::save_snapshot(path, kSnapKindBaselines, 3, payload.data(),
+                                &error, /*do_fsync=*/false),
+            util::PersistStatus::kOk)
+      << error;
+  std::vector<std::uint8_t> loaded;
+  EXPECT_EQ(util::load_snapshot(path, kSnapKindBaselines, kSnapVersion,
+                                &loaded, &error),
+            util::PersistStatus::kVersionSkew);
+
+  const netlist::GeneratorSpec small =
+      netlist::scaled_spec("svc-skew", 19, 40, 5);
+  DesignSession cold(core::Design::generate(small), "skew");
+  cold.enable_persistence(dir, /*do_fsync=*/false);
+  EXPECT_EQ(cold.baselines_cached(), 0u);  // started cold, nothing decoded
+
+  // Positive control: a baseline persisted at the current version warms a
+  // restarted session.
+  cold.baseline(spec, nullptr);
+  DesignSession warm(core::Design::generate(small), "skew");
+  warm.enable_persistence(dir, /*do_fsync=*/false);
+  EXPECT_EQ(warm.baselines_cached(), 1u);
+
+  const std::string cmd = "rm -rf '" + dir + "'";
+  [[maybe_unused]] const int rc = std::system(cmd.c_str());
 }
 
 TEST(Protocol, TracePathQualification) {
@@ -199,6 +319,77 @@ TEST(Service, QueriesReadTheCachedBaseline) {
   // A non-endpoint net is a clean miss, not an error.
   q.net = 0xFFFFFF;
   EXPECT_FALSE(client.query_slack(q).valid);
+}
+
+TEST(Service, MultiScenarioSlackIsTheMinimumOverLocalRuns) {
+  // Own session, so the corner and baseline counts below are exact.
+  DesignSession session(
+      core::Design::generate(netlist::scaled_spec("svc-mcmm", 23, 80, 6)),
+      "svc-mcmm");
+  ServerFixture fx({}, session);
+  XtalkClient client = fx.connect();
+
+  std::vector<sta::Scenario> scenarios(3);
+  scenarios[0].name = "nominal";
+  scenarios[1].name = "process_slow";  // nominal V/T bits, its own corner
+  scenarios[1].process = device::ProcessCorner::kSlow;
+  scenarios[2].name = "vt_fast";
+  scenarios[2].vdd_scale = 1.1;
+  scenarios[2].temperature_c = -40.0;
+
+  RunSpec spec;
+  const sta::McmmResult local =
+      session.design().run_scenarios(spec.to_options(), scenarios);
+  ASSERT_EQ(local.runs.size(), 3u);
+  const std::vector<sta::EndpointArrival>& probes =
+      local.runs[0].result.endpoints;
+  ASSERT_FALSE(probes.empty());
+
+  const double required = 5e-9;
+  std::size_t checked = 0;
+  std::vector<int> owners(scenarios.size(), 0);
+  for (std::size_t p = 0; p < probes.size() && checked < 8; ++p, ++checked) {
+    const sta::EndpointArrival& probe = probes[p];
+    // Local oracle: strict < keeps the first scenario on exact ties.
+    bool found = false;
+    double min_slack = 0.0, owner_arrival = 0.0;
+    std::size_t owner = 0;
+    for (std::size_t si = 0; si < local.runs.size(); ++si) {
+      for (const sta::EndpointArrival& e : local.runs[si].result.endpoints) {
+        if (e.net != probe.net || e.rising != probe.rising) continue;
+        const double slack = required - e.arrival;
+        if (!found || slack < min_slack) {
+          found = true;
+          min_slack = slack;
+          owner_arrival = e.arrival;
+          owner = si;
+        }
+        break;
+      }
+    }
+    ASSERT_TRUE(found);
+    ++owners[owner];
+
+    SlackQueryMsg q;
+    q.spec = spec;
+    q.net = probe.net;
+    q.rising = probe.rising;
+    q.required_time = required;
+    q.scenarios = scenarios;
+    const SlackMsg m = client.query_slack(q);
+    SCOPED_TRACE("endpoint net " + std::to_string(probe.net));
+    ASSERT_TRUE(m.valid);
+    EXPECT_TRUE(bits_equal(m.slack, min_slack));
+    EXPECT_TRUE(bits_equal(m.arrival, owner_arrival));
+    EXPECT_EQ(m.worst_scenario, scenarios[owner].name);
+  }
+  // The slow process corner owns the worst slack somewhere — the query
+  // really did evaluate it, not the nominal corner twice.
+  EXPECT_GT(owners[1], 0);
+
+  // Three corners: process_slow shares nominal's V/T bits but not its key.
+  EXPECT_EQ(session.corners_cached(), 3u);
+  EXPECT_EQ(session.baselines_cached(), 3u);
 }
 
 TEST(Service, EcoSessionMatchesLocalIncrementalRun) {
@@ -295,20 +486,29 @@ TEST(Service, EcoEditValidatesIdsBeforeApplying) {
 TEST(Service, MalformedBodyGetsErrorAndConnectionSurvives) {
   ServerFixture fx;
   XtalkClient client = fx.connect();
-  // A kRunSta frame whose body is garbage: decodes fail recoverably.
-  util::WireWriter body;
-  body.u8(0xFF);
-  client.send_frame(MsgType::kRunSta, 77, body);
-  FrameView reply = client.recv_frame();
-  EXPECT_EQ(reply.type, MsgType::kError);
-  EXPECT_EQ(reply.request_id, 77u);
-  util::WireReader r = reply.body(client.limits());
-  ErrorMsg err;
-  ASSERT_TRUE(err.decode(r));
-  EXPECT_EQ(err.code, ErrorCode::kMalformedFrame);
-  EXPECT_FALSE(err.message.empty());
-  // The connection still serves.
-  client.ping();
+  // kRunSta frames whose body is garbage, or a RunSpec whose process
+  // corner byte is out of range: decodes fail recoverably.
+  util::WireWriter garbage;
+  garbage.u8(0xFF);
+  util::WireWriter bad_process;
+  for (const std::uint8_t b : with_process_byte(RunSpec{}, 3)) {
+    bad_process.u8(b);
+  }
+  std::uint32_t request_id = 77;
+  for (const util::WireWriter* body : {&garbage, &bad_process}) {
+    client.send_frame(MsgType::kRunSta, request_id, *body);
+    FrameView reply = client.recv_frame();
+    EXPECT_EQ(reply.type, MsgType::kError);
+    EXPECT_EQ(reply.request_id, request_id);
+    util::WireReader r = reply.body(client.limits());
+    ErrorMsg err;
+    ASSERT_TRUE(err.decode(r));
+    EXPECT_EQ(err.code, ErrorCode::kMalformedFrame);
+    EXPECT_FALSE(err.message.empty());
+    // The connection still serves.
+    client.ping();
+    ++request_id;
+  }
 }
 
 TEST(Service, UnknownRequestTypeIsRejectedRecoverably) {
