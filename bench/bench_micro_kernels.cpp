@@ -4,14 +4,18 @@
 // set. Useful for tracking performance regressions of the engine.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "core/transistor_netlist.hpp"
 #include "delaycalc/arc_delay.hpp"
+#include "device/mosfet.hpp"
 #include "sim/transient.hpp"
 #include "sta/metrics.hpp"
 #include "table_common.hpp"
+#include "util/pwl.hpp"
+#include "util/table.hpp"
 #include "util/trace.hpp"
 
 using namespace xtalk;
@@ -43,6 +47,55 @@ void BM_DeviceTableDerivs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeviceTableDerivs);
+
+// The fused read under BM_DeviceTableDerivs: value and both partials from
+// one cell walk of a device-sized (technology table_points) grid.
+void BM_Table2DEvalGrad(benchmark::State& state) {
+  const double vmax = 1.25 * tech().vdd;
+  const util::Table2D t(0.0, vmax, tech().table_points, 0.0, vmax,
+                        tech().table_points, [](double vgs, double vds) {
+                          return device::unit_current(
+                              tech(), device::MosType::kNmos, vgs, vds);
+                        });
+  double x = 1.0;
+  for (auto _ : state) {
+    x += 1e-6;
+    benchmark::DoNotOptimize(t.eval_grad(x, 1.5));
+  }
+}
+BENCHMARK(BM_Table2DEvalGrad);
+
+// Input-waveform reads as the BE loop makes them: small forward steps
+// through a propagated-size waveform, binary-searched anew each time
+// (BM_PwlValueAt) or walked on from the previous segment (BM_PwlValueAtHint).
+util::Pwl bench_input_waveform() {
+  util::Pwl w;
+  for (int k = 0; k < 64; ++k) {
+    w.append(k * 5e-12, tech().vdd * std::sqrt(k / 63.0));
+  }
+  return w;
+}
+
+void BM_PwlValueAt(benchmark::State& state) {
+  const util::Pwl w = bench_input_waveform();
+  double t = 0.0;
+  for (auto _ : state) {
+    t = t < w.back().t ? t + 0.37e-12 : 0.0;
+    benchmark::DoNotOptimize(w.value_at(t));
+  }
+}
+BENCHMARK(BM_PwlValueAt);
+
+void BM_PwlValueAtHint(benchmark::State& state) {
+  const util::Pwl w = bench_input_waveform();
+  double t = 0.0;
+  std::size_t hint = 0;
+  for (auto _ : state) {
+    t = t < w.back().t ? t + 0.37e-12 : 0.0;
+    benchmark::DoNotOptimize(w.value_at(t, hint));
+  }
+}
+BENCHMARK(BM_PwlValueAtHint);
 
 void BM_StageWaveform(benchmark::State& state) {
   const util::Pwl vin =

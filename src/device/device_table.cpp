@@ -83,45 +83,6 @@ double DeviceTable::channel_current(double width, double vg, double va,
   return -width * table_.lookup(vb - vg, vb - va);
 }
 
-CurrentDerivs DeviceTable::channel_current_derivs(double width, double vg,
-                                                  double va, double vb) const {
-  CurrentDerivs d;
-  if (type_ == MosType::kNmos) {
-    if (va >= vb) {
-      const double vgs = vg - vb, vds = va - vb;
-      const double fx = table_.d_dx(vgs, vds), fy = table_.d_dy(vgs, vds);
-      d.i = width * table_.lookup(vgs, vds);
-      d.d_vg = width * fx;
-      d.d_va = width * fy;
-      d.d_vb = -width * (fx + fy);
-    } else {
-      const double vgs = vg - va, vds = vb - va;
-      const double fx = table_.d_dx(vgs, vds), fy = table_.d_dy(vgs, vds);
-      d.i = -width * table_.lookup(vgs, vds);
-      d.d_vg = -width * fx;
-      d.d_vb = -width * fy;
-      d.d_va = width * (fx + fy);
-    }
-    return d;
-  }
-  if (va >= vb) {
-    const double vsg = va - vg, vsd = va - vb;
-    const double fx = table_.d_dx(vsg, vsd), fy = table_.d_dy(vsg, vsd);
-    d.i = width * table_.lookup(vsg, vsd);
-    d.d_vg = -width * fx;
-    d.d_va = width * (fx + fy);
-    d.d_vb = -width * fy;
-  } else {
-    const double vsg = vb - vg, vsd = vb - va;
-    const double fx = table_.d_dx(vsg, vsd), fy = table_.d_dy(vsg, vsd);
-    d.i = -width * table_.lookup(vsg, vsd);
-    d.d_vg = width * fx;
-    d.d_vb = -width * (fx + fy);
-    d.d_va = width * fy;
-  }
-  return d;
-}
-
 const DeviceTableSet& DeviceTableSet::half_micron() {
   static const DeviceTableSet set(Technology::half_micron());
   return set;

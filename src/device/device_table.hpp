@@ -2,8 +2,9 @@
 //
 // The unit-width drain current is sampled once per technology on a fine
 // (vgs, vds) grid; waveform integration and the MNA simulator only ever do
-// bilinear lookups plus finite-difference derivatives, which makes Newton
-// iteration cheap and, thanks to the fine discretisation, well conditioned.
+// bilinear reads, one cell walk yielding the current and its derivatives,
+// which makes Newton iteration cheap and, thanks to the fine
+// discretisation, well conditioned.
 //
 // Terminal-symmetric evaluation: `channel_current(vg, va, vb)` returns the
 // current flowing through the channel from terminal a to terminal b for an
@@ -43,7 +44,9 @@ class DeviceTable {
   /// source/drain swap for both polarities.
   double channel_current(double width, double vg, double va, double vb) const;
 
-  /// Channel current and its terminal derivatives (for Newton).
+  /// Channel current and its terminal derivatives (for Newton), from one
+  /// table walk. Inline so that a caller reading only some fields (the
+  /// stage integrator needs i and one terminal partial) skips the rest.
   CurrentDerivs channel_current_derivs(double width, double vg, double va,
                                        double vb) const;
 
@@ -69,6 +72,42 @@ class DeviceTable {
   util::Table2D table_;  ///< ids(vgs, vds), vgs/vds in [0, ~1.25*vdd]
   std::vector<double> stack_factors_;  ///< index n-1, n = 1..kMaxStack
 };
+
+inline CurrentDerivs DeviceTable::channel_current_derivs(double width,
+                                                         double vg, double va,
+                                                         double vb) const {
+  CurrentDerivs d;
+  if (type_ == MosType::kNmos) {
+    if (va >= vb) {
+      const util::TableGrad g = table_.eval_grad(vg - vb, va - vb);
+      d.i = width * g.value;
+      d.d_vg = width * g.d_dx;
+      d.d_va = width * g.d_dy;
+      d.d_vb = -width * (g.d_dx + g.d_dy);
+    } else {
+      const util::TableGrad g = table_.eval_grad(vg - va, vb - va);
+      d.i = -width * g.value;
+      d.d_vg = -width * g.d_dx;
+      d.d_vb = -width * g.d_dy;
+      d.d_va = width * (g.d_dx + g.d_dy);
+    }
+    return d;
+  }
+  if (va >= vb) {
+    const util::TableGrad g = table_.eval_grad(va - vg, va - vb);
+    d.i = width * g.value;
+    d.d_vg = -width * g.d_dx;
+    d.d_va = width * (g.d_dx + g.d_dy);
+    d.d_vb = -width * g.d_dy;
+  } else {
+    const util::TableGrad g = table_.eval_grad(vb - vg, vb - va);
+    d.i = -width * g.value;
+    d.d_vg = width * g.d_dx;
+    d.d_vb = -width * (g.d_dx + g.d_dy);
+    d.d_va = width * g.d_dy;
+  }
+  return d;
+}
 
 /// The pair of tables (NMOS + PMOS) for one technology. Build once, share.
 class DeviceTableSet {

@@ -82,16 +82,31 @@ void Pwl::append(double t, double v) {
 }
 
 double Pwl::value_at(double t) const {
+  std::size_t hint = 0;
+  return value_at(t, hint);
+}
+
+double Pwl::value_at(double t, std::size_t& hint) const {
   assert(!points_.empty());
   if (!std::isfinite(t)) require_finite(t, "Pwl::value_at time");
   if (t <= points_.front().t) return points_.front().v;
   if (t >= points_.back().t) return points_.back().v;
-  // Binary search for the segment containing t.
-  auto it = std::upper_bound(
-      points_.begin(), points_.end(), t,
-      [](double time, const PwlPoint& p) { return time < p.t; });
-  const PwlPoint& hi = *it;
-  const PwlPoint& lo = *(it - 1);
+  // Here front().t < t < back().t. Both routes end with `k` the first
+  // sample later than t (times strictly increase), so the segment and the
+  // alpha below do not depend on the hint: the result is bitwise the same.
+  std::size_t k = hint;
+  if (k == 0 || k >= points_.size() || points_[k - 1].t > t) {
+    k = static_cast<std::size_t>(
+        std::upper_bound(
+            points_.begin(), points_.end(), t,
+            [](double time, const PwlPoint& p) { return time < p.t; }) -
+        points_.begin());
+  } else {
+    while (points_[k].t <= t) ++k;  // stops by back().t > t
+  }
+  hint = k;
+  const PwlPoint& hi = points_[k];
+  const PwlPoint& lo = points_[k - 1];
   const double alpha = (t - lo.t) / (hi.t - lo.t);
   return lo.v + alpha * (hi.v - lo.v);
 }

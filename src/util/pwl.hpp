@@ -39,12 +39,21 @@ class Pwl {
   const PwlPoint& front() const { return points_.front(); }
   const PwlPoint& back() const { return points_.back(); }
 
+  /// Reserve room for n samples (values are unaffected).
+  void reserve(std::size_t n) { points_.reserve(n); }
+
   /// Append a sample; t must be strictly greater than the last time.
   /// Collinear middle points are merged to keep waveforms compact.
   void append(double t, double v);
 
   /// Value at time t (constant extrapolation).
   double value_at(double t) const;
+  /// The same value, for a caller whose queries mostly move forward in
+  /// time: `hint` keeps the segment found by the previous call and the
+  /// search walks forward from it; a query before that segment (or a stale
+  /// hint) falls back to binary search. The hint never changes the result.
+  /// Start with hint = 0.
+  double value_at(double t, std::size_t& hint) const;
 
   /// Earliest time at which the function reaches `v`, for a function that is
   /// monotone in the direction implied by rising. Returns negative infinity

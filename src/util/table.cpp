@@ -82,20 +82,6 @@ Table2D::Table2D(double x0, double x1, std::size_t nx, double y0, double y1,
   require_finite_samples(values_, "Table2D");
 }
 
-void Table2D::locate_x(double x, std::size_t& i, double& fx) const {
-  const double u =
-      std::clamp((x - x0_) * inv_dx_, 0.0, static_cast<double>(nx_ - 1));
-  i = static_cast<std::size_t>(std::min(u, static_cast<double>(nx_ - 2)));
-  fx = u - static_cast<double>(i);
-}
-
-void Table2D::locate_y(double y, std::size_t& j, double& fy) const {
-  const double u =
-      std::clamp((y - y0_) * inv_dy_, 0.0, static_cast<double>(ny_ - 1));
-  j = static_cast<std::size_t>(std::min(u, static_cast<double>(ny_ - 2)));
-  fy = u - static_cast<double>(j);
-}
-
 double Table2D::lookup(double x, double y) const {
   assert(nx_ >= 2 && ny_ >= 2);
   if (!(std::isfinite(x) && std::isfinite(y))) {
@@ -111,34 +97,6 @@ double Table2D::lookup(double x, double y) const {
   const double a = v00 * (1.0 - fy) + v01 * fy;
   const double b = v10 * (1.0 - fy) + v11 * fy;
   return a * (1.0 - fx) + b * fx;
-}
-
-double Table2D::d_dx(double x, double y) const {
-  if (!(std::isfinite(x) && std::isfinite(y))) {
-    require_finite(x, "Table2D::d_dx x");
-    require_finite(y, "Table2D::d_dx y");
-  }
-  std::size_t i, j;
-  double fx, fy;
-  locate_x(x, i, fx);
-  locate_y(y, j, fy);
-  const double a = at(i + 1, j) - at(i, j);
-  const double b = at(i + 1, j + 1) - at(i, j + 1);
-  return (a * (1.0 - fy) + b * fy) * inv_dx_;
-}
-
-double Table2D::d_dy(double x, double y) const {
-  if (!(std::isfinite(x) && std::isfinite(y))) {
-    require_finite(x, "Table2D::d_dy x");
-    require_finite(y, "Table2D::d_dy y");
-  }
-  std::size_t i, j;
-  double fx, fy;
-  locate_x(x, i, fx);
-  locate_y(y, j, fy);
-  const double a = at(i, j + 1) - at(i, j);
-  const double b = at(i + 1, j + 1) - at(i + 1, j);
-  return (a * (1.0 - fx) + b * fx) * inv_dy_;
 }
 
 }  // namespace xtalk::util

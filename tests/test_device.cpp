@@ -3,10 +3,116 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace xtalk::device {
 namespace {
 
 const Technology& tech() { return Technology::half_micron(); }
+
+/// Independent re-implementation of the device table's three-read
+/// derivative arithmetic: the unit-current grid is re-sampled exactly as
+/// DeviceTable samples it, and the value and each partial locate the cell
+/// on their own, term for term as separate value, d/dx and d/dy reads do.
+class ThreeReadReference {
+ public:
+  ThreeReadReference(const Technology& t, MosType type)
+      : type_(type), n_(t.table_points) {
+    const double vmax = 1.25 * t.vdd;
+    const double dx = (vmax - 0.0) / static_cast<double>(n_ - 1);
+    inv_d_ = 1.0 / dx;
+    values_.resize(n_ * n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        values_[i * n_ + j] =
+            unit_current(t, type, 0.0 + dx * static_cast<double>(i),
+                         0.0 + dx * static_cast<double>(j));
+      }
+    }
+  }
+
+  CurrentDerivs derivs(double width, double vg, double va, double vb) const {
+    CurrentDerivs d;
+    if (type_ == MosType::kNmos) {
+      if (va >= vb) {
+        const double vgs = vg - vb, vds = va - vb;
+        const double fx = d_dx(vgs, vds), fy = d_dy(vgs, vds);
+        d.i = width * lookup(vgs, vds);
+        d.d_vg = width * fx;
+        d.d_va = width * fy;
+        d.d_vb = -width * (fx + fy);
+      } else {
+        const double vgs = vg - va, vds = vb - va;
+        const double fx = d_dx(vgs, vds), fy = d_dy(vgs, vds);
+        d.i = -width * lookup(vgs, vds);
+        d.d_vg = -width * fx;
+        d.d_vb = -width * fy;
+        d.d_va = width * (fx + fy);
+      }
+      return d;
+    }
+    if (va >= vb) {
+      const double vsg = va - vg, vsd = va - vb;
+      const double fx = d_dx(vsg, vsd), fy = d_dy(vsg, vsd);
+      d.i = width * lookup(vsg, vsd);
+      d.d_vg = -width * fx;
+      d.d_va = width * (fx + fy);
+      d.d_vb = -width * fy;
+    } else {
+      const double vsg = vb - vg, vsd = vb - va;
+      const double fx = d_dx(vsg, vsd), fy = d_dy(vsg, vsd);
+      d.i = -width * lookup(vsg, vsd);
+      d.d_vg = width * fx;
+      d.d_vb = -width * (fx + fy);
+      d.d_va = width * fy;
+    }
+    return d;
+  }
+
+ private:
+  double at(std::size_t i, std::size_t j) const { return values_[i * n_ + j]; }
+  void locate(double x, std::size_t& i, double& f) const {
+    const double u =
+        std::clamp((x - 0.0) * inv_d_, 0.0, static_cast<double>(n_ - 1));
+    i = static_cast<std::size_t>(std::min(u, static_cast<double>(n_ - 2)));
+    f = u - static_cast<double>(i);
+  }
+  double lookup(double x, double y) const {
+    std::size_t i, j;
+    double fx, fy;
+    locate(x, i, fx);
+    locate(y, j, fy);
+    const double v00 = at(i, j), v01 = at(i, j + 1);
+    const double v10 = at(i + 1, j), v11 = at(i + 1, j + 1);
+    const double a = v00 * (1.0 - fy) + v01 * fy;
+    const double b = v10 * (1.0 - fy) + v11 * fy;
+    return a * (1.0 - fx) + b * fx;
+  }
+  double d_dx(double x, double y) const {
+    std::size_t i, j;
+    double fx, fy;
+    locate(x, i, fx);
+    locate(y, j, fy);
+    const double a = at(i + 1, j) - at(i, j);
+    const double b = at(i + 1, j + 1) - at(i, j + 1);
+    return (a * (1.0 - fy) + b * fy) * inv_d_;
+  }
+  double d_dy(double x, double y) const {
+    std::size_t i, j;
+    double fx, fy;
+    locate(x, i, fx);
+    locate(y, j, fy);
+    const double a = at(i, j + 1) - at(i, j);
+    const double b = at(i + 1, j + 1) - at(i + 1, j);
+    return (a * (1.0 - fx) + b * fx) * inv_d_;
+  }
+
+  MosType type_;
+  std::size_t n_;
+  double inv_d_ = 1.0;
+  std::vector<double> values_;
+};
 
 TEST(Mosfet, CutoffBelowThreshold) {
   // Deep subthreshold current is negligible compared to on current.
@@ -112,6 +218,43 @@ TEST(DeviceTable, DerivativesMatchFiniteDifferences) {
   EXPECT_NEAR(d.d_vg, dg, std::abs(dg) * 0.05 + 1e-9);
   EXPECT_NEAR(d.d_va, da, std::abs(da) * 0.05 + 1e-9);
   EXPECT_NEAR(d.d_vb, db, std::abs(db) * 0.05 + 1e-9);
+}
+
+TEST(DeviceTable, FusedDerivsBitwiseEqualThreeReadReference) {
+  const Technology slow = tech().scaled(ProcessCorner::kSlow, 0.9, 110.0);
+  for (const Technology* t : {&tech(), &slow}) {
+    for (MosType type : {MosType::kNmos, MosType::kPmos}) {
+      const DeviceTable table(*t, type);
+      const ThreeReadReference ref(*t, type);
+      const double dv = table.vmax() / static_cast<double>(t->table_points - 1);
+      // Terminal voltages: exact grid nodes (their differences with 0 land
+      // on nodes too), interior points, and values whose differences clamp
+      // below 0 and above vmax().
+      const std::vector<double> volts = {
+          0.0,        dv * 7.0,   dv * 66.0,  table.vmax(),  0.013,
+          0.8372,     1.5,        2.2461,     t->vdd,        -0.37,
+          -2.0,       table.vmax() + 0.41,    2.0 * table.vmax()};
+      int forward = 0, reverse = 0;
+      for (double vg : volts) {
+        for (double va : volts) {
+          for (double vb : volts) {
+            for (double w : {1e-6, 3.7e-6}) {
+              const CurrentDerivs got =
+                  table.channel_current_derivs(w, vg, va, vb);
+              const CurrentDerivs want = ref.derivs(w, vg, va, vb);
+              EXPECT_EQ(got.i, want.i) << vg << " " << va << " " << vb;
+              EXPECT_EQ(got.d_vg, want.d_vg) << vg << " " << va << " " << vb;
+              EXPECT_EQ(got.d_va, want.d_va) << vg << " " << va << " " << vb;
+              EXPECT_EQ(got.d_vb, want.d_vb) << vg << " " << va << " " << vb;
+              ++(va >= vb ? forward : reverse);
+            }
+          }
+        }
+      }
+      EXPECT_GT(forward, 0);
+      EXPECT_GT(reverse, 0);
+    }
+  }
 }
 
 TEST(DeviceTable, StackFactorsDecreaseWithDepth) {

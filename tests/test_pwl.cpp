@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "util/diag.hpp"
 
@@ -137,6 +139,76 @@ TEST(Pwl, StepHasRequestedRiseTime) {
   EXPECT_DOUBLE_EQ(w.value_at(1.0), 0.0);
   EXPECT_DOUBLE_EQ(w.value_at(1.1), 3.3);
   EXPECT_NEAR(w.value_at(1.05), 1.65, 1e-12);
+}
+
+TEST(Pwl, ValueAtHintBitwiseEqualsSearch) {
+  // Irregularly spaced samples of a wiggly waveform.
+  std::vector<PwlPoint> pts;
+  double t = 0.3;
+  for (int k = 0; k < 41; ++k) {
+    pts.push_back({t, std::sin(0.7 * k) + 0.01 * k});
+    t += 0.05 + 0.11 * ((k * 7) % 5);
+  }
+  const Pwl w(pts);
+  // The binary search the hint replaces, written out independently.
+  auto search = [&](double q) {
+    if (q <= pts.front().t) return pts.front().v;
+    if (q >= pts.back().t) return pts.back().v;
+    const auto it = std::upper_bound(
+        pts.begin(), pts.end(), q,
+        [](double time, const PwlPoint& p) { return time < p.t; });
+    const double alpha = (q - (it - 1)->t) / (it->t - (it - 1)->t);
+    return (it - 1)->v + alpha * (it->v - (it - 1)->v);
+  };
+  std::size_t hint = 0;
+  auto check = [&](double q) {
+    const double got = w.value_at(q, hint);
+    EXPECT_EQ(got, w.value_at(q)) << q;
+    EXPECT_EQ(got, search(q)) << q;
+  };
+
+  // Forward sweep with irregular steps, from before front() to past back().
+  for (double q = -0.5; q < w.back().t + 0.5;
+       q += 0.013 + 0.04 * std::abs(std::sin(q))) {
+    check(q);
+  }
+
+  // The step-halving rung: advance by h, then jump back by h and re-walk
+  // the same interval in h / 2^k sub-steps, with one hint throughout.
+  hint = 0;
+  const double h = 0.17;
+  for (double q = w.front().t; q < w.back().t; q += h) {
+    check(q + h);
+    for (int k = 1; k <= 3; ++k) {
+      const int n_sub = 1 << k;
+      for (int s = 1; s <= n_sub; ++s) check(q + h / n_sub * s);
+    }
+  }
+
+  // Exact breakpoint times, forwards then backwards.
+  hint = 0;
+  for (const PwlPoint& p : pts) check(p.t);
+  for (auto it = pts.rbegin(); it != pts.rend(); ++it) check(it->t);
+
+  // Constant extrapolation at and beyond both ends.
+  for (double q :
+       {w.front().t, w.front().t - 1.0, w.back().t, w.back().t + 1.0}) {
+    check(q);
+  }
+
+  // A stale hint at or beyond size() (say, from a longer waveform).
+  const double mid = 0.5 * (w.front().t + w.back().t);
+  for (std::size_t stale : {w.size(), w.size() + 9,
+                            std::numeric_limits<std::size_t>::max()}) {
+    hint = stale;
+    check(mid);
+    EXPECT_LT(hint, w.size());
+  }
+
+  // The non-finite guard still fires.
+  hint = 3;
+  EXPECT_THROW(w.value_at(std::numeric_limits<double>::quiet_NaN(), hint),
+               DiagError);
 }
 
 TEST(Pwl, RejectsNonFiniteConstructionInputs) {

@@ -46,8 +46,10 @@ TEST(Table2D, PartialDerivativesMatchAnalytic) {
                   [](double x, double y) { return 2.0 * x - y + x * y; });
   // d/dx = 2 + y, d/dy = -1 + x (exact for a bilinear interpolant of a
   // bilinear function, at interior non-grid points).
-  EXPECT_NEAR(t.d_dx(0.7, 1.3), 2.0 + 1.3, 1e-9);
-  EXPECT_NEAR(t.d_dy(0.7, 1.3), -1.0 + 0.7, 1e-9);
+  const TableGrad g = t.eval_grad(0.7, 1.3);
+  EXPECT_NEAR(g.d_dx, 2.0 + 1.3, 1e-9);
+  EXPECT_NEAR(g.d_dy, -1.0 + 0.7, 1e-9);
+  EXPECT_EQ(g.value, t.lookup(0.7, 1.3));
 }
 
 TEST(Table2D, ClampsOutsideGrid) {
@@ -107,8 +109,8 @@ TEST(Table2D, RejectsNonFiniteSamplesAndInputs) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(t.lookup(nan, 0.5), DiagError);
   EXPECT_THROW(t.lookup(0.5, nan), DiagError);
-  EXPECT_THROW(t.d_dx(nan, 0.5), DiagError);
-  EXPECT_THROW(t.d_dy(0.5, nan), DiagError);
+  EXPECT_THROW(t.eval_grad(nan, 0.5), DiagError);
+  EXPECT_THROW(t.eval_grad(0.5, nan), DiagError);
 }
 
 }  // namespace
