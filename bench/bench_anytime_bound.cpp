@@ -11,7 +11,6 @@
 // Output: human-readable table plus the shared --json <path> report with
 // one row per budget point (arrays "calc_sweep" and "deadline_sweep").
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -82,21 +81,9 @@ int main(int argc, char** argv) {
   using namespace xtalk;
   using namespace xtalk::bench;
 
-  double scale = 0.25;  // full s38417 converges in minutes; default smaller
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
-  }
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
   netlist::GeneratorSpec spec = netlist::s38417_like();
-  spec.num_cells = std::max<std::size_t>(
-      64, static_cast<std::size_t>(static_cast<double>(spec.num_cells) * scale));
-  spec.num_ffs = std::max<std::size_t>(
-      4, static_cast<std::size_t>(static_cast<double>(spec.num_ffs) * scale));
-  spec.num_pos = std::max<std::size_t>(
-      4, static_cast<std::size_t>(static_cast<double>(spec.num_pos) * scale));
+  // Full s38417 converges in minutes; default smaller.
+  const auto [scale, num_threads] = size_from_env(spec, 0.25);
 
   std::cout << "=== anytime bound tightness: " << spec.name << " ("
             << spec.num_cells << " cells, seed " << spec.seed << ") ===\n\n";

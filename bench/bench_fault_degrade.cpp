@@ -15,7 +15,6 @@
 // XTALK_BENCH_SCALE / XTALK_THREADS environment overrides of the other
 // benches.
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <unordered_set>
@@ -90,22 +89,7 @@ std::unordered_set<netlist::NetId> influence_closure(
 
 int main(int argc, char** argv) {
   netlist::GeneratorSpec spec = netlist::s38417_like();
-  double scale = 1.0;
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
-  }
-  if (scale != 1.0) {
-    spec.num_cells = std::max<std::size_t>(
-        64, static_cast<std::size_t>(static_cast<double>(spec.num_cells) * scale));
-    spec.num_ffs = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_ffs) * scale));
-    spec.num_pos = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_pos) * scale));
-  }
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
+  const auto [scale, num_threads] = bench::size_from_env(spec);
 
   std::cout << "=== fault degrade: " << spec.name << " (" << spec.num_cells
             << " cells, seed " << spec.seed << ") ===\n";

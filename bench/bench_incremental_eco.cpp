@@ -5,7 +5,6 @@
 // waveform calculations than the from-scratch baseline while producing
 // bitwise-identical results (spot-checked against the oracle at the end).
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <random>
@@ -39,26 +38,9 @@ int main(int argc, char** argv) {
   json.root().set("benchmark", "incremental_eco");
   const std::string json_path = bench::json_path_from_args(argc, argv);
 
-  double scale = 1.0;
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
-  }
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-
   // The largest of the paper's three circuits by cell count.
   netlist::GeneratorSpec spec = netlist::s38417_like();
-  if (scale != 1.0) {
-    spec.num_cells = std::max<std::size_t>(
-        64,
-        static_cast<std::size_t>(static_cast<double>(spec.num_cells) * scale));
-    spec.num_ffs = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_ffs) * scale));
-    spec.num_pos = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_pos) * scale));
-  }
+  const auto [scale, num_threads] = bench::size_from_env(spec);
 
   std::cout << "=== incremental ECO re-timing: " << spec.name << " ("
             << spec.num_cells << " cells, seed " << spec.seed << ") ===\n\n";

@@ -13,7 +13,6 @@
 // ratio ships in the --json report as `mcmm_over_single_ratio`).
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
@@ -84,24 +83,8 @@ int main(int argc, char** argv) {
   using namespace xtalk;
   using namespace xtalk::bench;
 
-  double scale = 1.0;
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
-  }
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
   netlist::GeneratorSpec spec = netlist::s38417_like();
-  if (scale != 1.0) {
-    spec.num_cells = std::max<std::size_t>(
-        64,
-        static_cast<std::size_t>(static_cast<double>(spec.num_cells) * scale));
-    spec.num_ffs = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_ffs) * scale));
-    spec.num_pos = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_pos) * scale));
-  }
+  const auto [scale, num_threads] = size_from_env(spec);
 
   std::cout << "=== MCMM shared-work speedup: " << spec.name << " ("
             << spec.num_cells << " cells, seed " << spec.seed << ") ===\n\n";

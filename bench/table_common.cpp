@@ -1,5 +1,8 @@
 #include "table_common.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -151,6 +154,64 @@ bool JsonReport::write_file(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+BenchSize parse_bench_size(const char* scale_text, const char* threads_text,
+                           double default_scale) {
+  BenchSize size{default_scale, 0};
+  if (scale_text != nullptr) {
+    char* end = nullptr;
+    size.scale = std::strtod(scale_text, &end);
+    if (end == scale_text || *end != '\0' || !std::isfinite(size.scale) ||
+        size.scale <= 0.0) {
+      throw std::invalid_argument(
+          std::string("XTALK_BENCH_SCALE must be a finite number > 0, got '") +
+          scale_text + "'");
+    }
+  }
+  if (threads_text != nullptr) {
+    char* end = nullptr;
+    errno = 0;
+    const long n = std::strtol(threads_text, &end, 10);
+    if (end == threads_text || *end != '\0' || errno == ERANGE || n < 0 ||
+        n > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(
+          std::string("XTALK_THREADS must be an integer >= 0, got '") +
+          threads_text + "'");
+    }
+    size.num_threads = static_cast<int>(n);
+  }
+  return size;
+}
+
+netlist::GeneratorSpec scale_spec(netlist::GeneratorSpec spec, double scale) {
+  if (scale == 1.0) return spec;
+  const auto scaled = [scale](std::size_t count, std::size_t floor) {
+    const double x = static_cast<double>(count) * scale;
+    // 2^64: the first double past size_t, so the cast below is defined.
+    if (!(x < 18446744073709551616.0)) {
+      throw std::invalid_argument(
+          "XTALK_BENCH_SCALE is too large: the circuit size overflows");
+    }
+    return std::max(floor, static_cast<std::size_t>(x));
+  };
+  spec.num_cells = scaled(spec.num_cells, 64);
+  spec.num_ffs = scaled(spec.num_ffs, 4);
+  spec.num_pos = scaled(spec.num_pos, 4);
+  return spec;
+}
+
+BenchSize size_from_env(netlist::GeneratorSpec& spec, double default_scale) {
+  try {
+    const BenchSize size =
+        parse_bench_size(std::getenv("XTALK_BENCH_SCALE"),
+                         std::getenv("XTALK_THREADS"), default_scale);
+    spec = scale_spec(std::move(spec), size.scale);
+    return size;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
+}
+
 std::string json_path_from_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") {
@@ -258,23 +319,7 @@ double run_table_benchmark(const char* table_name,
                            const netlist::GeneratorSpec& base_spec,
                            const TableOptions& options) {
   netlist::GeneratorSpec spec = base_spec;
-  double scale = options.scale;
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
-  }
-  // Worker threads for the level-parallel pass (0 = hardware concurrency).
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
-  if (scale != 1.0) {
-    spec.num_cells = std::max<std::size_t>(
-        64, static_cast<std::size_t>(static_cast<double>(spec.num_cells) * scale));
-    spec.num_ffs = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_ffs) * scale));
-    spec.num_pos = std::max<std::size_t>(
-        4, static_cast<std::size_t>(static_cast<double>(spec.num_pos) * scale));
-  }
+  const auto [scale, num_threads] = size_from_env(spec, options.scale);
 
   std::cout << "=== " << table_name << ": " << spec.name << " (" << spec.num_cells
             << " cells, seed " << spec.seed << ") ===\n";
@@ -370,76 +415,6 @@ double run_table_benchmark(const char* table_name,
   json.write_file(options.json_path);
   std::cout << std::endl;
   return iter;
-}
-
-const std::vector<std::string>& service_row_required_keys() {
-  static const std::vector<std::string> kKeys = {
-      "requests_total",
-      "requests_full",
-      "requests_eco",
-      "requests_query",
-      "requests_truncated",
-      "requests_failed",
-      "truncation_rate",
-      "throughput_rps",
-      "latency_p50_ms",
-      "latency_p99_ms",
-      "bytes_in",
-      "bytes_out",
-      "chaos_seed",
-      "retries",
-      "reconnects",
-      "sessions_recovered",
-      "recovery_p99_ms",
-      "oracle_checks",
-      "oracle_failures",
-      "restart_generation",
-      "snapshot_age_ms",
-      "wal_records",
-      "sessions_resumed",
-  };
-  return kKeys;
-}
-
-void assert_service_row_schema(const JsonObject& row) {
-  std::string missing;
-  for (const std::string& key : service_row_required_keys()) {
-    if (!row.has(key)) {
-      if (!missing.empty()) missing += ", ";
-      missing += key;
-    }
-  }
-  if (!missing.empty()) {
-    throw std::logic_error("bench service row missing required key(s): " +
-                           missing);
-  }
-}
-
-void fill_service_row(JsonObject& row, const ServiceLoadSummary& summary) {
-  row.set("requests_total", summary.requests_total)
-      .set("requests_full", summary.requests_full)
-      .set("requests_eco", summary.requests_eco)
-      .set("requests_query", summary.requests_query)
-      .set("requests_truncated", summary.requests_truncated)
-      .set("requests_failed", summary.requests_failed)
-      .set("truncation_rate", summary.truncation_rate)
-      .set("throughput_rps", summary.throughput_rps)
-      .set("latency_p50_ms", summary.latency_p50_ms)
-      .set("latency_p99_ms", summary.latency_p99_ms)
-      .set("bytes_in", summary.bytes_in)
-      .set("bytes_out", summary.bytes_out)
-      .set("chaos_seed", summary.chaos_seed)
-      .set("retries", summary.retries)
-      .set("reconnects", summary.reconnects)
-      .set("sessions_recovered", summary.sessions_recovered)
-      .set("recovery_p99_ms", summary.recovery_p99_ms)
-      .set("oracle_checks", summary.oracle_checks)
-      .set("oracle_failures", summary.oracle_failures)
-      .set("restart_generation", summary.restart_generation)
-      .set("snapshot_age_ms", summary.snapshot_age_ms)
-      .set("wal_records", summary.wal_records)
-      .set("sessions_resumed", summary.sessions_resumed);
-  assert_service_row_schema(row);
 }
 
 }  // namespace xtalk::bench

@@ -4,7 +4,6 @@
 // aligned aggressors (paper §6).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,13 +16,41 @@ namespace xtalk::bench {
 struct TableOptions {
   /// Scale factor on the circuit size (1.0 = the paper's cell count). The
   /// XTALK_BENCH_SCALE environment variable overrides it (useful for quick
-  /// smoke runs: XTALK_BENCH_SCALE=0.1).
+  /// smoke runs: XTALK_BENCH_SCALE=0.1); see size_from_env.
   double scale = 1.0;
   bool run_validation = true;
   /// When non-empty, write a machine-readable JSON report here (the
   /// --json <path> flag; see json_path_from_args).
   std::string json_path;
 };
+
+// ---------------------------------------------------------------------------
+// Bench sizing (XTALK_BENCH_SCALE, XTALK_THREADS)
+// ---------------------------------------------------------------------------
+
+/// Circuit scale and engine thread count of one bench run.
+struct BenchSize {
+  double scale = 1.0;   ///< factor on the spec's cell, FF and PO counts
+  int num_threads = 0;  ///< StaOptions::num_threads (0 = hardware threads)
+};
+
+/// Parse the values of XTALK_BENCH_SCALE and XTALK_THREADS; nullptr means
+/// unset and gives `default_scale` and 0 threads. Throws
+/// std::invalid_argument naming the variable on a scale that is not a
+/// finite number > 0, or a thread count that is not an integer >= 0.
+BenchSize parse_bench_size(const char* scale_text, const char* threads_text,
+                           double default_scale);
+
+/// `spec` with num_cells, num_ffs and num_pos multiplied by `scale`,
+/// truncated and floored at 64, 4 and 4; unchanged at scale 1.0. Throws
+/// std::invalid_argument when a scaled count does not fit a size_t.
+netlist::GeneratorSpec scale_spec(netlist::GeneratorSpec spec, double scale);
+
+/// Size `spec` in place from the environment (parse_bench_size, then
+/// scale_spec). On a bad value prints the message and exits with code 2,
+/// like json_path_from_args.
+BenchSize size_from_env(netlist::GeneratorSpec& spec,
+                        double default_scale = 1.0);
 
 /// Runs the full table experiment and prints it to stdout. Returns the
 /// iterative-mode longest path delay [s] (for cross-checks).
@@ -107,52 +134,5 @@ const std::vector<std::string>& result_row_required_keys();
 /// Throws std::logic_error naming every missing required key. Called by
 /// fill_result_row so a bench binary cannot silently emit a partial row.
 void assert_result_row_schema(const JsonObject& row);
-
-// ---------------------------------------------------------------------------
-// Service load-test rows (bench_service_load)
-// ---------------------------------------------------------------------------
-
-/// Aggregate outcome of one service load run, in wire-independent units.
-/// Plain data so the schema helpers stay free of a service-layer
-/// dependency.
-struct ServiceLoadSummary {
-  std::uint64_t requests_total = 0;
-  std::uint64_t requests_full = 0;   ///< kRunSta
-  std::uint64_t requests_eco = 0;    ///< ECO open/edit/run/close round trips
-  std::uint64_t requests_query = 0;  ///< endpoint/slack queries
-  std::uint64_t requests_truncated = 0;
-  std::uint64_t requests_failed = 0;
-  double truncation_rate = 0.0;  ///< truncated / total
-  double throughput_rps = 0.0;
-  double latency_p50_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  std::uint64_t bytes_in = 0;   ///< server-side received bytes
-  std::uint64_t bytes_out = 0;  ///< server-side sent bytes
-  // Chaos-mode resilience fields (--chaos <seed>); all zero in plain runs.
-  std::uint64_t chaos_seed = 0;  ///< 0 = fault-free run
-  std::uint64_t retries = 0;     ///< requests re-sent after transport faults
-  std::uint64_t reconnects = 0;  ///< connections (re)established
-  std::uint64_t sessions_recovered = 0;  ///< ECO journal replays
-  double recovery_p99_ms = 0.0;          ///< p99 journal-replay latency
-  std::uint64_t oracle_checks = 0;    ///< bitwise verdicts taken under load
-  std::uint64_t oracle_failures = 0;  ///< verdicts that diverged (must be 0)
-  // Crash-only durability fields (server --state-dir); zero when volatile.
-  std::uint64_t restart_generation = 0;  ///< server restarts observed (1 = first boot)
-  std::uint64_t snapshot_age_ms = 0;     ///< age of the latest baseline snapshot
-  std::uint64_t wal_records = 0;         ///< live session-WAL records at exit
-  std::uint64_t sessions_resumed = 0;    ///< token resumes (client counter)
-};
-
-/// Append a service load summary to a JSON row. Key order is pinned (the
-/// schema test round-trips it); asserts the schema on exit like
-/// fill_result_row.
-void fill_service_row(JsonObject& row, const ServiceLoadSummary& summary);
-
-/// The keys every service row must carry (breaking-change contract, same
-/// rules as result_row_required_keys).
-const std::vector<std::string>& service_row_required_keys();
-
-/// Throws std::logic_error naming every missing required key.
-void assert_service_row_schema(const JsonObject& row);
 
 }  // namespace xtalk::bench

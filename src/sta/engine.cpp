@@ -15,6 +15,12 @@ namespace xtalk::sta {
 
 namespace {
 
+/// Diagnostic sink capacity; overflow counts in StaResult::diagnostics.dropped.
+constexpr std::size_t kMaxDiagnostics = 1024;
+/// Trace ring capacity per thread [events]. Overflow drops the oldest events
+/// (counted in metrics.trace_dropped); it never blocks or reallocates.
+constexpr std::size_t kTraceEventsPerThread = 1 << 14;
+
 /// Primary-input stimulus: a full-swing ramp with the configured slew,
 /// clipped to start at the model threshold at t = 0 like every propagated
 /// waveform.
@@ -114,7 +120,7 @@ StaEngine::StaEngine(const DesignView& design, const StaOptions& options)
     : design_(design),
       options_(options),
       calculator_(*design.tables),
-      sink_(options.max_diagnostics),
+      sink_(kMaxDiagnostics),
       governor_(options.budget, options.cancel, options.governor_hook) {
   if (options_.delay_model == DelayModel::kNldm) {
     // Prefer a caller-supplied characterization (MCMM corners hand in one
@@ -138,7 +144,7 @@ StaEngine::StaEngine(const DesignView& design, const StaOptions& options)
   // stay null and every instrumentation site below is a null-pointer test.
   if (!options_.trace_path.empty()) {
     trace_ = std::make_unique<util::TraceSession>(
-        pool_->num_threads(), options_.trace_events_per_thread);
+        pool_->num_threads(), kTraceEventsPerThread);
   }
   if (options_.collect_metrics || trace_ != nullptr) {
     metrics_ = std::make_unique<MetricsRegistry>(pool_->num_threads());

@@ -122,9 +122,6 @@ struct StaOptions {
   /// fire deterministically at any thread count; a gate=-1 spec with
   /// after > 0 is only deterministic single-threaded.
   util::FaultInjector* fault_injector = nullptr;
-  /// Capacity of the diagnostic sink; reports beyond it are counted in
-  /// StaResult::diagnostics.dropped instead of stored.
-  std::size_t max_diagnostics = 1024;
   /// Run governance: wall-clock deadline, memory caps, waveform-calc cap.
   /// Defaults to unlimited (the governor's checkpoints are then pure reads
   /// and results are bitwise identical to an ungoverned run). On
@@ -154,9 +151,6 @@ struct StaOptions {
   /// Empty = tracing fully disabled: no buffers, no clock reads; every
   /// instrumentation site degrades to one null-pointer test.
   std::string trace_path;
-  /// Ring capacity per thread [events]. Overflow drops the oldest events
-  /// (counted in metrics.trace_dropped) — it never blocks or reallocates.
-  std::size_t trace_events_per_thread = 1 << 14;
 };
 
 struct EndpointArrival {

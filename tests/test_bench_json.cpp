@@ -1,16 +1,19 @@
 // Bench JSON schema: every result row must carry the required keys (the
 // machine-readable reports feed dashboards that key on them), the writer's
 // output must round-trip through the strict JSON parser, and the schema
-// assertion must fail loudly on a partial row.
+// assertion must fail loudly on a partial row. Also pins the shared bench
+// sizing (XTALK_BENCH_SCALE / XTALK_THREADS parse and circuit scaling).
 #include "table_common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "netlist/circuit_generator.hpp"
 #include "sta/engine.hpp"
 #include "util/json_lint.hpp"
 
@@ -120,77 +123,55 @@ TEST(BenchJson, ScenarioAnnotationRoundTrips) {
   EXPECT_EQ(parsed.find("worst_scenario")->str, "slow_doubled");
 }
 
-TEST(BenchJson, ServiceRowCarriesEveryRequiredKey) {
-  JsonObject row;
-  fill_service_row(row, ServiceLoadSummary{});
-  for (const std::string& key : service_row_required_keys()) {
-    EXPECT_TRUE(row.has(key)) << key;
+TEST(BenchSizing, ScaleSpecMatchesInlineFormula) {
+  // Reference rule: truncate the product and floor at 64 cells, 4 FFs and
+  // 4 POs. Bench circuits must keep these sizes so results stay comparable.
+  const auto inline_count = [](std::size_t n, double scale, std::size_t floor) {
+    return std::max<std::size_t>(
+        floor, static_cast<std::size_t>(static_cast<double>(n) * scale));
+  };
+  const netlist::GeneratorSpec base = netlist::s38417_like();
+  for (const double scale : {1.0, 0.25, 0.1, 0.001}) {
+    const netlist::GeneratorSpec s = scale_spec(base, scale);
+    EXPECT_EQ(s.num_cells, inline_count(base.num_cells, scale, 64)) << scale;
+    EXPECT_EQ(s.num_ffs, inline_count(base.num_ffs, scale, 4)) << scale;
+    EXPECT_EQ(s.num_pos, inline_count(base.num_pos, scale, 4)) << scale;
+    EXPECT_EQ(s.seed, base.seed);
   }
-  EXPECT_NO_THROW(assert_service_row_schema(row));
+  // 0.001 is below every floor.
+  const netlist::GeneratorSpec tiny = scale_spec(base, 0.001);
+  EXPECT_EQ(tiny.num_cells, 64u);
+  EXPECT_EQ(tiny.num_ffs, 4u);
+  EXPECT_EQ(tiny.num_pos, 4u);
+  EXPECT_THROW(scale_spec(base, 1e300), std::invalid_argument);
 }
 
-TEST(BenchJson, ServiceRowKeysPreserveInsertionOrder) {
-  JsonObject row;
-  fill_service_row(row, ServiceLoadSummary{});
-  EXPECT_EQ(row.keys(), service_row_required_keys());
+TEST(BenchSizing, ParseAcceptsValidValuesAndDefaults) {
+  const BenchSize unset = parse_bench_size(nullptr, nullptr, 0.25);
+  EXPECT_EQ(unset.scale, 0.25);
+  EXPECT_EQ(unset.num_threads, 0);
+  const BenchSize set = parse_bench_size("0.1", "2", 1.0);
+  EXPECT_EQ(set.scale, 0.1);
+  EXPECT_EQ(set.num_threads, 2);
+  EXPECT_EQ(parse_bench_size("1e-3", "0", 1.0).scale, 0.001);
 }
 
-TEST(BenchJson, ServiceSchemaAssertionNamesMissingKeys) {
-  JsonObject partial;
-  partial.set("requests_total", 12).set("throughput_rps", 3.5);
+TEST(BenchSizing, ParseRejectsGarbage) {
+  for (const char* bad : {"-1", "0", "nan", "inf", "abc", "", "0.5x"}) {
+    EXPECT_THROW(parse_bench_size(bad, nullptr, 1.0), std::invalid_argument)
+        << "scale '" << bad << "'";
+  }
+  for (const char* bad : {"abc", "-2", "", "1.5", "99999999999999999999"}) {
+    EXPECT_THROW(parse_bench_size(nullptr, bad, 1.0), std::invalid_argument)
+        << "threads '" << bad << "'";
+  }
   try {
-    assert_service_row_schema(partial);
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("latency_p99_ms"), std::string::npos);
-    EXPECT_NE(what.find("requests_truncated"), std::string::npos);
-    EXPECT_EQ(what.find("requests_total"), std::string::npos);
+    parse_bench_size("abc", nullptr, 1.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("XTALK_BENCH_SCALE"),
+              std::string::npos);
   }
-}
-
-TEST(BenchJson, ServiceRowRoundTripsThroughStrictParser) {
-  ServiceLoadSummary summary;
-  summary.requests_total = 1200;
-  summary.requests_full = 30;
-  summary.requests_eco = 280;
-  summary.requests_query = 890;
-  summary.requests_truncated = 25;
-  summary.truncation_rate = 25.0 / 1200.0;
-  summary.throughput_rps = 412.5;
-  summary.latency_p50_ms = 0.8;
-  summary.latency_p99_ms = 95.25;
-  summary.bytes_in = 123456;
-  summary.bytes_out = 7890123;
-  summary.restart_generation = 3;
-  summary.snapshot_age_ms = 1500;
-  summary.wal_records = 42;
-  summary.sessions_resumed = 7;
-
-  JsonReport report;
-  report.root().set("bench", "service_load");
-  fill_service_row(report.add_row("service"), summary);
-
-  util::JsonValue root;
-  std::string err;
-  ASSERT_TRUE(util::parse_json(report.to_string(), &root, &err)) << err;
-  const util::JsonValue* rows = root.find("service");
-  ASSERT_NE(rows, nullptr);
-  ASSERT_TRUE(rows->is_array());
-  ASSERT_EQ(rows->items.size(), 1u);
-  const util::JsonValue& row = rows->items[0];
-  for (const std::string& key : service_row_required_keys()) {
-    EXPECT_TRUE(row.has(key)) << key;
-  }
-  EXPECT_EQ(row.find("requests_total")->number, 1200.0);
-  EXPECT_EQ(row.find("requests_truncated")->number, 25.0);
-  EXPECT_EQ(row.find("throughput_rps")->number, 412.5);
-  EXPECT_EQ(row.find("latency_p99_ms")->number, 95.25);
-  EXPECT_EQ(row.find("bytes_out")->number, 7890123.0);
-  EXPECT_EQ(row.find("restart_generation")->number, 3.0);
-  EXPECT_EQ(row.find("snapshot_age_ms")->number, 1500.0);
-  EXPECT_EQ(row.find("wal_records")->number, 42.0);
-  EXPECT_EQ(row.find("sessions_resumed")->number, 7.0);
 }
 
 }  // namespace
