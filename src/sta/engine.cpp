@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -86,6 +87,12 @@ void validate_options(const StaOptions& o) {
 
 /// Exact double comparison treating NaN == NaN ("same bits", not IEEE).
 bool same_value(double a, double b) { return a == b || (a != a && b != b); }
+
+/// Bitwise equality of two loads (the reuse key compares bits, not values).
+bool same_load(const delaycalc::OutputLoad& a, const delaycalc::OutputLoad& b) {
+  return std::memcmp(&a.c_passive, &b.c_passive, sizeof(double)) == 0 &&
+         std::memcmp(&a.c_active, &b.c_active, sizeof(double)) == 0;
+}
 
 bool event_identical(const NetEvent& a, const NetEvent& b) {
   if (a.valid != b.valid) return false;
@@ -399,6 +406,18 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
                         design_.parasitics->net(out).total_coupling_cap();
   const util::DiagHandle dh = gate_diag(gate_id, out, config);
 
+  // This gate's classification slots (none in the non-classifying modes).
+  ArcClass* record = nullptr;
+  ArcWindow* record_windows = nullptr;
+  if (config.classes != nullptr) {
+    ClassRecord& cr = *config.classes;
+    const std::uint32_t b = cr.begin[gate_id];
+    std::fill(cr.arcs.begin() + b, cr.arcs.begin() + cr.begin[gate_id + 1],
+              ArcClass{});
+    record = cr.arcs.data() + b;
+    if (!cr.windows.empty()) record_windows = cr.windows.data() + b;
+  }
+
   auto merge = [&](const delaycalc::ArcResult& r, const EventOrigin& origin,
                    bool input_degraded) {
     NetEvent& e = timing[out].event(r.output_rising);
@@ -416,10 +435,13 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
     e.valid = true;
   };
 
+  std::size_t slot = 0;  // first slot of the current (pin, input edge)
   for (std::uint32_t p = 0; p < gate.pin_nets.size(); ++p) {
     if (!netlist::is_timed_input(cell, p)) continue;
     const netlist::NetId in_net = gate.pin_nets[p];
     for (const bool in_rising : {true, false}) {
+      const std::size_t s0 = slot;
+      slot += 2;
       const NetEvent& in_ev = timing[in_net].event(in_rising);
       if (!in_ev.valid) continue;
       const double elmore = sink_elmore(in_net, {gate_id, p});
@@ -487,6 +509,11 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
                     ? delaycalc::OutputLoad{base, cc_sum}
                     : classify_coupling(out, out_rising, t_bcs, config,
                                         timing, my_level, base, inf);
+            // The reuse key of this arc (gate_reusable); an all-active
+            // load needs none.
+            const std::size_t s = s0 + (out_rising ? 0 : 1);
+            const bool recorded = record != nullptr && !bcs_degraded;
+            if (recorded) record[s] = {t_bcs, load, ArcClass::kClassified};
             if (!bcs_degraded && metrics_ != nullptr) {
               metrics_->add(thread_id,
                             EngineCounter::kCouplingClassifications);
@@ -521,6 +548,10 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
                 const delaycalc::OutputLoad refined =
                     classify_coupling(out, out_rising, t_bcs, config, timing,
                                       my_level, base, settle_upper);
+                if (recorded && record_windows != nullptr) {
+                  record[s].kind = ArcClass::kRefined;
+                  record_windows[s] = {settle_upper, refined};
+                }
                 if (metrics_ != nullptr) {
                   metrics_->add(thread_id,
                                 EngineCounter::kCouplingClassifications);
@@ -645,69 +676,100 @@ void StaEngine::run_gate(netlist::GateId g, const PassConfig& config,
                          std::vector<NetTiming>& timing,
                          std::size_t thread_id) {
   const netlist::Netlist& nl = *design_.netlist;
+  const netlist::Gate& gate = nl.gate(g);
+  const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+  std::uint8_t* flags =
+      config.classes != nullptr ? &config.classes->gate_flags[g] : nullptr;
   // Per-gate exception isolation (kDegrade): a poisoned gate degrades to a
   // pessimistic bound locally instead of propagating out of the thread
   // pool and killing every worker's dispatch. compute_arc already converts
   // solver DiagErrors into bound substitutions, so what reaches this
-  // outermost net are unexpected evaluation failures.
+  // outermost net are unexpected evaluation failures. The gate's flags
+  // note whether the evaluation reported anything.
   auto evaluate_gate = [&] {
+    const std::uint64_t reports = util::DiagSink::thread_reports();
+    std::uint8_t f = 0;
     if (options_.fault_policy == util::FaultPolicy::kDegrade) {
       try {
         process_gate(g, config, timing, thread_id);
       } catch (const std::exception& ex) {
         degrade_gate(g, config, timing, ex.what());
+        f = ClassRecord::kUnrecorded;
       }
-      return;
+    } else {
+      process_gate(g, config, timing, thread_id);
     }
-    process_gate(g, config, timing, thread_id);
+    if (util::DiagSink::thread_reports() != reports) {
+      f |= ClassRecord::kDiagnosed;
+    }
+    if (flags != nullptr) *flags = f;
   };
 
   if (config.active_gates != nullptr && !(*config.active_gates)[g]) {
     // Esperance: keep the basis pass's (conservative) result. In a
     // replayed pass the baseline did the same copy (the esperance mask is
     // part of the pass signature), so this net differs from the baseline
-    // record exactly where the basis differed.
-    const netlist::Gate& gate = nl.gate(g);
-    const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
+    // record exactly where the basis differed; against the previous pass
+    // it is that pass's value. No evaluation stands behind the copy, so
+    // its classification slots are not a reuse key.
     timing[out] = (*config.previous_timing)[out];
     timing[out].calculated = true;
+    if (flags != nullptr) *flags = ClassRecord::kUnrecorded;
     if (config.value_dirty != nullptr) {
       (*config.value_dirty)[out] =
-          config.basis_dirty != nullptr ? (*config.basis_dirty)[out] : 1;
+          config.cross_pass ? 0
+          : config.basis_dirty != nullptr ? (*config.basis_dirty)[out]
+                                          : 1;
     }
     return;
   }
-  if (config.reuse_timing != nullptr) {
-    const netlist::Gate& gate = nl.gate(g);
-    const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-    if (gate_reusable(g, config)) {
-      // Incremental reuse: every input of this gate's evaluation — fanin
-      // events, neighbour quiet times, quiet-time basis, early activity,
-      // levels, parasitics, the cell itself — is bitwise unchanged from
-      // the baseline pass, so the cached output *is* what process_gate
-      // would recompute. That includes its diagnostics: re-emit the
-      // baseline's entries so the incremental report matches a
-      // from-scratch run.
-      timing[out] = (*config.reuse_timing)[out];
-      timing[out].calculated = true;
-      (*config.value_dirty)[out] = 0;
-      if (config.reuse_diags != nullptr) {
-        for (const util::Diagnostic& d : *config.reuse_diags) {
-          if (d.ctx.gate == static_cast<std::int64_t>(g)) sink_.report(d);
-        }
+  if (config.reuse_timing == nullptr) {
+    evaluate_gate();
+    return;
+  }
+  if (gate_reusable(g, config, timing)) {
+    // Every input of this gate's evaluation that can move between
+    // passes or edits — fanin events and the coupling loads — is
+    // bitwise the baseline's, so the baseline output *is* what
+    // process_gate would recompute, and so are its records. A RunTrace
+    // gate re-emits its baseline diagnostics so the incremental report
+    // matches a from-scratch run; a carried gate has none.
+    timing[out] = (*config.reuse_timing)[out];
+    timing[out].calculated = true;
+    (*config.value_dirty)[out] = 0;
+    if (config.classes != nullptr) {
+      const ClassRecord& base = *config.reuse_classes;
+      const std::uint32_t kb = base.begin[g];
+      ClassRecord& cur = *config.classes;
+      const std::uint32_t n = base.begin[g + 1] - kb;
+      std::copy_n(base.arcs.begin() + kb, n,
+                  cur.arcs.begin() + cur.begin[g]);
+      if (!cur.windows.empty()) {
+        std::copy_n(base.windows.begin() + kb, n,
+                    cur.windows.begin() + cur.begin[g]);
       }
-      gates_reused_.fetch_add(1, std::memory_order_relaxed);
+      *flags = base.gate_flags[g];
+    }
+    if (config.cross_pass) {
+      if (metrics_ != nullptr) {
+        metrics_->add(thread_id, EngineCounter::kGatesCarried);
+      }
       return;
     }
-    evaluate_gate();
-    // Value cut-off: a recomputed net that lands exactly on the baseline
-    // (e.g. the changed input was not the controlling arc) does not dirty
-    // its consumers.
-    (*config.value_dirty)[out] =
-        !net_timing_identical(timing[out], (*config.reuse_timing)[out]);
+    if (config.reuse_diags != nullptr) {
+      for (const util::Diagnostic& d : *config.reuse_diags) {
+        if (d.ctx.gate == static_cast<std::int64_t>(g)) sink_.report(d);
+      }
+    }
+    gates_reused_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   evaluate_gate();
+  // Value cut-off: a recomputed net that lands exactly on the baseline
+  // (e.g. the changed input was not the controlling arc) does not dirty
+  // its consumers.
+  (*config.value_dirty)[out] =
+      !net_timing_identical(timing[out], (*config.reuse_timing)[out]);
 }
 
 double StaEngine::run_pass(const PassConfig& config,
@@ -868,18 +930,33 @@ void StaEngine::run_levels(const PassConfig& config,
 }
 
 bool StaEngine::gate_reusable(netlist::GateId gate_id,
-                              const PassConfig& config) const {
+                              const PassConfig& config,
+                              const std::vector<NetTiming>& timing) const {
   const netlist::Netlist& nl = *design_.netlist;
   const netlist::Gate& gate = nl.gate(gate_id);
   const netlist::NetId out = gate.pin_nets[gate.cell->output_pin()];
-  const std::vector<char>& seed = *config.seed_dirty;
+  const std::vector<char>* seed = config.seed_dirty;
   const std::vector<char>& vdirty = *config.value_dirty;
+  const ClassRecord& base = *config.reuse_classes;
 
   // Structural changes on the output net: the driving cell, the net's
   // parasitics (wire cap, sink wires feed base_load), any coupling cap on
-  // it, a level flip of its driver, or a moved early-activity bound read
-  // through it — all seeded by the session.
-  if (seed[out]) return false;
+  // it, or a level flip of its driver (the anchor of its own
+  // classification) — all seeded by the session.
+  if (seed != nullptr && (*seed)[out]) return false;
+  const std::uint8_t flags = base.gate_flags[gate_id];
+  if ((flags & ClassRecord::kUnrecorded) != 0) return false;
+  // Diagnostics carry the pass index, so the previous pass's entries are
+  // not this pass's: recompute to emit them afresh.
+  if (config.cross_pass && (flags & ClassRecord::kDiagnosed) != 0) {
+    return false;
+  }
+  // The records are laid out by the cell's timed pins; a seed covers any
+  // cell change, this keeps a copied record inside its slots regardless.
+  const std::uint32_t b = base.begin[gate_id];
+  const std::uint32_t n = base.begin[gate_id + 1] - b;
+  const std::vector<std::uint32_t>& cur_begin = config.classes->begin;
+  if (n != cur_begin[gate_id + 1] - cur_begin[gate_id]) return false;
 
   // Fanins: the arc input is the fanin's waveform shifted by the fanin's
   // sink wire, so both a changed value and a structural edit on the fanin
@@ -887,28 +964,35 @@ bool StaEngine::gate_reusable(netlist::GateId gate_id,
   for (std::uint32_t p = 0; p < gate.pin_nets.size(); ++p) {
     if (!netlist::is_timed_input(*gate.cell, p)) continue;
     const netlist::NetId f = gate.pin_nets[p];
-    if (seed[f] || vdirty[f]) return false;
+    if ((seed != nullptr && (*seed)[f]) || vdirty[f]) return false;
   }
 
-  const bool coupling_aware = options_.mode == AnalysisMode::kOneStep ||
-                              options_.mode == AnalysisMode::kIterative;
-  if (!coupling_aware) return true;
-
-  // Coupling classification inputs, mirroring classify_coupling's snapshot
-  // rule: a neighbour finished in an earlier level is read through this
-  // pass's timing; otherwise the stored quiet times of the basis pass are
-  // read (when one exists); otherwise the §5.1 assumption reads nothing.
-  // Driverless (primary-input) neighbours carry fixed stimulus.
-  const std::vector<std::uint32_t>& glevel = design_.dag->gate_level;
-  const std::uint32_t my_level = glevel[gate_id];
-  for (const extract::NeighborCap& nb :
-       design_.parasitics->net(out).couplings) {
-    const netlist::GateId dn = nl.net(nb.neighbor).driver.gate;
-    if (dn == netlist::kNoGate) continue;
-    if (glevel[dn] < my_level) {
-      if (vdirty[nb.neighbor]) return false;
-    } else if (config.basis_dirty != nullptr) {
-      if ((*config.basis_dirty)[nb.neighbor]) return false;
+  // Fanin unchanged: every best case is bitwise the recorded one, so the
+  // recorded t_bcs is what process_gate would classify against. Re-run
+  // exactly its classifications and compare the loads bitwise. They read
+  // this pass's timing, quiet basis, early arrays and neighbour ready
+  // levels directly, so a neighbour's moved value, early bound or level
+  // needs no seed of its own.
+  const double base_cap = base_load(out);
+  const std::uint32_t my_level = design_.dag->gate_level[gate_id];
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const ArcClass& a = base.arcs[b + i];
+    if (a.kind == ArcClass::kUnclassified) continue;
+    const bool out_rising = i % 2 == 0;
+    if (!same_load(a.load, classify_coupling(out, out_rising, a.t_bcs, config,
+                                             timing, my_level, base_cap,
+                                             inf))) {
+      return false;
+    }
+    if (a.kind == ArcClass::kRefined) {
+      const ArcWindow& w = base.windows[b + i];
+      if (!same_load(w.refined,
+                     classify_coupling(out, out_rising, a.t_bcs, config,
+                                       timing, my_level, base_cap,
+                                       w.settle_upper))) {
+        return false;
+      }
     }
   }
   return true;
@@ -1093,9 +1177,50 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     if (basis >= 0 && !pass_valid[static_cast<std::size_t>(basis)]) {
       return false;
     }
+    if (rec.classes.gate_flags.size() != design_.netlist->num_gates()) {
+      return false;
+    }
     return rec.active_gates == active;
   };
-  auto record_pass = [&](const std::vector<NetTiming>& pass_timing,
+
+  // Classification records (the reuse key), double-buffered: pass k
+  // writes classes[k % 2], so classes[(k - 1) % 2] still holds pass k-1's
+  // for the cross-pass baseline. Kept only when something reads them: the
+  // trace, an incremental baseline, or a later iterative pass. Cross-pass
+  // reuse is off under a fault injector, which counts solver probes: a
+  // skipped evaluation would move the probe its faults fire on.
+  const bool cross_pass = options_.mode == AnalysisMode::kIterative &&
+                          options_.fault_injector == nullptr;
+  const bool keep_classes =
+      cross_pass || trace_out != nullptr || base != nullptr;
+  ClassRecord classes[2];
+  auto pass_classes = [&](std::size_t k) -> ClassRecord& {
+    ClassRecord& cr = classes[k % 2];
+    if (!cr.gate_flags.empty()) return cr;
+    const netlist::Netlist& nl = *design_.netlist;
+    const bool classifying = options_.mode == AnalysisMode::kOneStep ||
+                             options_.mode == AnalysisMode::kIterative;
+    cr.begin.assign(nl.num_gates() + 1, 0);
+    for (netlist::GateId g = 0; g < nl.num_gates(); ++g) {
+      std::uint32_t slots = 0;
+      if (classifying) {
+        const netlist::Gate& gate = nl.gate(g);
+        for (std::uint32_t p = 0; p < gate.pin_nets.size(); ++p) {
+          if (netlist::is_timed_input(*gate.cell, p)) slots += 4;
+        }
+      }
+      cr.begin[g + 1] = cr.begin[g] + slots;
+    }
+    cr.arcs.resize(cr.begin.back());
+    if (options_.timing_windows) cr.windows.resize(cr.begin.back());
+    cr.gate_flags.assign(nl.num_gates(), 0);
+    return cr;
+  };
+  // Value-dirty flags of a pass against this run's previous pass.
+  std::vector<char> cross_dirty;
+
+  auto record_pass = [&](const PassConfig& cfg,
+                         const std::vector<NetTiming>& pass_timing,
                          const std::vector<char>& active, int basis,
                          std::size_t diag_mark) {
     if (trace_out == nullptr) return;
@@ -1105,23 +1230,46 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     rec.active_gates = active;
     rec.basis_pass = basis;
     rec.diagnostics = sink_.slice(diag_mark);
+    // Only an iterative pass's records are read again in this run.
+    if (options_.mode == AnalysisMode::kIterative) {
+      rec.classes = *cfg.classes;
+    } else {
+      rec.classes = std::move(*cfg.classes);
+    }
     trace_out->passes.push_back(std::move(rec));
   };
 
-  // Sets up the value-dirty array for pass k and wires the reuse fields of
-  // its PassConfig (no-op when the pass is not replayable: the pass then
-  // computes everything and counts as all-dirty for later bases).
+  // Wires the reuse fields of pass k's PassConfig. The baseline is pass k
+  // of the RunTrace when the pass is replayable; otherwise this run's
+  // previous pass `previous` (pass k-1: the iterative loop only goes on
+  // after an improving pass, which becomes the basis), when there is one.
+  // Replay bookkeeping: every pass of a run with a RunTrace gets a
+  // value-dirty array against it, all-dirty when not replayable.
   auto configure_reuse = [&](PassConfig& cfg, std::size_t k, bool reusable,
-                             int basis) {
-    if (base == nullptr) return;  // fresh run: no dirty bookkeeping at all
-    dirty_by_pass.emplace_back(num_nets, reusable ? 0 : 1);
-    if (!reusable) return;
-    cfg.reuse_timing = &base->passes[k].timing;
-    cfg.reuse_diags = &base->passes[k].diagnostics;
-    cfg.seed_dirty = seeds;
-    cfg.value_dirty = &dirty_by_pass[k];
-    if (basis >= 0) {
-      cfg.basis_dirty = &dirty_by_pass[static_cast<std::size_t>(basis)];
+                             int basis,
+                             const std::vector<NetTiming>* previous) {
+    if (keep_classes) cfg.classes = &pass_classes(k);
+    if (base != nullptr) {
+      dirty_by_pass.emplace_back(num_nets, reusable ? 0 : 1);
+      if (reusable) {
+        cfg.reuse_timing = &base->passes[k].timing;
+        cfg.reuse_classes = &base->passes[k].classes;
+        cfg.reuse_diags = &base->passes[k].diagnostics;
+        cfg.seed_dirty = seeds;
+        cfg.value_dirty = &dirty_by_pass[k];
+        if (basis >= 0) {
+          cfg.basis_dirty = &dirty_by_pass[static_cast<std::size_t>(basis)];
+        }
+        return;
+      }
+    }
+    if (cross_pass && previous != nullptr &&
+        basis == static_cast<int>(k) - 1) {
+      cfg.reuse_timing = previous;
+      cfg.reuse_classes = &classes[(k - 1) % 2];
+      cfg.cross_pass = true;
+      cross_dirty.assign(num_nets, 0);
+      cfg.value_dirty = &cross_dirty;
     }
   };
 
@@ -1129,7 +1277,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     PassConfig cfg;
     cfg.pass_index = 0;
     const bool reusable = pass_reusable(0, -1, no_mask);
-    configure_reuse(cfg, 0, reusable, -1);
+    configure_reuse(cfg, 0, reusable, -1, nullptr);
     const std::size_t diag_mark = sink_.size();
     PassStatus st;
     result.longest_path_delay = run_pass(cfg, timing, endpoints, critical, st);
@@ -1148,7 +1296,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       report_truncation(governor_.reason(), 0, st, "pass truncated");
     } else {
       pass_valid.push_back(reusable ? 1 : 0);
-      record_pass(timing, no_mask, -1, diag_mark);
+      record_pass(cfg, timing, no_mask, -1, diag_mark);
       result.budget.completed_passes = 1;
       result.budget.completed_levels = st.total_levels;
     }
@@ -1160,7 +1308,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
     first.pass_index = 0;
     {
       const bool reusable = pass_reusable(0, -1, no_mask);
-      configure_reuse(first, 0, reusable, -1);
+      configure_reuse(first, 0, reusable, -1, nullptr);
       pass_valid.push_back(reusable ? 1 : 0);
     }
     const std::size_t first_mark = sink_.size();
@@ -1180,7 +1328,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       result.budget.untimed_endpoints = std::move(st.untimed_endpoints);
       report_truncation(governor_.reason(), 0, st, "bounding pass truncated");
     } else {
-      record_pass(timing, no_mask, -1, first_mark);
+      record_pass(first, timing, no_mask, -1, first_mark);
       QuietTimes quiet;
       {
         util::TraceSpan span(tbuf(0), "sta.collect_quiet");
@@ -1188,8 +1336,10 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       }
       int basis = 0;  // pass whose timing supplied `quiet` and best_*
 
-      std::vector<NetTiming> best_timing = timing;
-      std::vector<EndpointArrival> best_eps = endpoints;
+      // The best pass is moved, never copied: run_pass starts by
+      // reassigning `timing` anyway.
+      std::vector<NetTiming> best_timing = std::move(timing);
+      std::vector<EndpointArrival> best_eps = std::move(endpoints);
       EndpointArrival best_crit = critical;
       double best = delay;
       result.budget.completed_passes = 1;
@@ -1211,7 +1361,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
           cfg.previous_timing = &best_timing;
         }
         const bool reusable = pass_reusable(k, basis, active);
-        configure_reuse(cfg, k, reusable, basis);
+        configure_reuse(cfg, k, reusable, basis, &best_timing);
         const double delay_old = best;
         const std::size_t diag_mark = sink_.size();
         PassStatus pst;
@@ -1230,16 +1380,16 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
           break;
         }
         pass_valid.push_back(reusable ? 1 : 0);
-        record_pass(timing, active, basis, diag_mark);
+        record_pass(cfg, timing, active, basis, diag_mark);
         result.budget.completed_passes = result.passes;
         if (delay < best) {
           best = delay;
           basis = static_cast<int>(k);
-          best_timing = timing;
-          best_eps = endpoints;
+          std::swap(best_timing, timing);
+          std::swap(best_eps, endpoints);
           best_crit = critical;
           util::TraceSpan span(tbuf(0), "sta.collect_quiet");
-          quiet = collect_quiet(timing);
+          quiet = collect_quiet(best_timing);
         }
         if (!(delay < delay_old - options_.convergence_eps)) break;
       }

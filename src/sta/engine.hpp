@@ -214,6 +214,48 @@ struct StaResult {
   MetricsSnapshot metrics;
 };
 
+/// The coupling classification of one arc evaluation in a coupling-aware
+/// pass, per (timed input pin, input edge, output edge): the best-case
+/// crossing t_bcs it classified against and the load it decided (§5.1).
+/// It is the reuse key. With bitwise-equal fanin, the best case is
+/// bitwise the recorded one, so re-running classify_coupling on the
+/// recorded t_bcs tells whether process_gate would see the same loads —
+/// and hence compute the same output (StaEngine::gate_reusable).
+struct ArcClass {
+  enum Kind : std::uint8_t {
+    kUnclassified,  ///< no arc, or an all-active load (degraded input or
+                    ///< best case): nothing a neighbour can change
+    kClassified,    ///< load classified against t_bcs
+    kRefined,       ///< kClassified plus a timing-window refinement
+  };
+  double t_bcs = 0.0;
+  delaycalc::OutputLoad load;
+  Kind kind = kUnclassified;
+};
+
+/// Timing-window part of an ArcClass: the unrefined worst case's settle
+/// bound and the load the refinement classified against it.
+struct ArcWindow {
+  double settle_upper = 0.0;
+  delaycalc::OutputLoad refined;
+};
+
+/// The ArcClass records of one pass. Gate g owns slots
+/// [begin[g], begin[g + 1]): four per timed input pin, input edge major
+/// (rise first), output edge minor; none in the modes that do not
+/// classify. `windows` parallels `arcs` under timing windows and is empty
+/// otherwise.
+struct ClassRecord {
+  enum GateFlag : std::uint8_t {
+    kDiagnosed = 1,   ///< the evaluation reported a diagnostic
+    kUnrecorded = 2,  ///< no evaluation of this pass stands behind the slots
+  };
+  std::vector<std::uint32_t> begin;
+  std::vector<ArcClass> arcs;
+  std::vector<ArcWindow> windows;
+  std::vector<std::uint8_t> gate_flags;  ///< GateFlag bits per gate
+};
+
 /// Everything one pass of one run produced, recorded so a later incremental
 /// run (sta/incremental/) can replay the pass sequence and copy per-net
 /// results for gates untouched by the edits. `basis_pass` identifies the
@@ -228,6 +270,8 @@ struct PassRecord {
   /// replay re-emits the entries of reused gates so its final report stays
   /// consistent with a from-scratch run.
   std::vector<util::Diagnostic> diagnostics;
+  /// Classification records, the reuse key of a replay of this pass.
+  ClassRecord classes;
 };
 
 /// Per-run recording: pass snapshots plus the early-activity arrays of the
@@ -243,8 +287,9 @@ struct EarlyTimes;  // sta/early.hpp
 
 /// Inputs for an incremental (cached) run: the previous run's trace and the
 /// per-net *seed* set — true meaning the net's own structure changed (its
-/// driver cell, its parasitics, a coupling cap on it, its level, or an
-/// early-activity bound read through it). From the seeds the engine
+/// driver cell, its parasitics, a coupling cap on it, or its driver's
+/// level). A neighbour's moved level or early-activity bound needs no
+/// seed: the reuse test re-classifies against them. From the seeds the engine
 /// propagates dirtiness dynamically with value cut-off: a recomputed net
 /// whose timing comes out bitwise identical to the baseline stops the
 /// propagation, so reuse reaches far beyond the structural fanout cone.
@@ -307,19 +352,29 @@ class StaEngine {
     const std::vector<char>* active_gates = nullptr;
     /// Timing from the previous pass (for gates skipped by Esperance).
     const std::vector<NetTiming>* previous_timing = nullptr;
-    /// Incremental reuse: when non-null, a gate whose evaluation inputs
-    /// are all unchanged vs. this baseline pass (gate_reusable) copies its
-    /// output from here instead of being recomputed. Null = no reuse.
+    /// Reuse baseline: when non-null, a gate whose fanin and coupling
+    /// classification are unchanged vs. this baseline pass (gate_reusable)
+    /// copies its output from here instead of being recomputed. It is
+    /// pass k of a RunTrace being replayed, or this run's pass k-1
+    /// (`cross_pass`). Null = no reuse.
     const std::vector<NetTiming>* reuse_timing = nullptr;
-    /// Per-net structural seeds of the edit batch (ReuseHints contract).
+    /// Classification records of the baseline pass (the reuse key).
+    const ClassRecord* reuse_classes = nullptr;
+    /// The baseline is this run's previous pass, not a RunTrace.
+    bool cross_pass = false;
+    /// Per-net structural seeds of the edit batch (ReuseHints contract);
+    /// null = none.
     const std::vector<char>* seed_dirty = nullptr;
     /// Written by the pass: per net, 1 iff the net's final timing in this
     /// pass differs (bitwise) from the baseline pass. Gates of level L
     /// write only their own output; levels >L read it after the barrier.
     std::vector<char>* value_dirty = nullptr;
-    /// value_dirty of the basis pass (whose stored quiet times feed the
-    /// coupling classification). Null when no quiet basis exists.
+    /// value_dirty of the basis pass against its RunTrace baseline, for
+    /// Esperance-skipped gates of a replayed pass. Null when no quiet
+    /// basis exists.
     const std::vector<char>* basis_dirty = nullptr;
+    /// Written by the pass: the classification records of its gates.
+    ClassRecord* classes = nullptr;
     /// Index of this pass in the run (diagnostic context).
     int pass_index = 0;
     /// Baseline diagnostics of the replayed pass: a reused gate re-emits
@@ -366,17 +421,21 @@ class StaEngine {
   void run_gate(netlist::GateId gate, const PassConfig& config,
                 std::vector<NetTiming>& timing, std::size_t thread_id);
 
-  /// Incremental reuse decision for one gate in a replayable pass: true iff
-  /// every value its evaluation reads is bitwise unchanged from the
-  /// baseline — no structural seed on its output or fanins, no
-  /// value-dirty fanin, and no value-dirty coupling neighbour it actually
-  /// reads (lower-level neighbours through this pass's timing, the rest
-  /// through the basis pass's stored quiet times).
-  bool gate_reusable(netlist::GateId gate, const PassConfig& config) const;
+  /// Reuse decision for one gate, the same for both baseline sources:
+  /// true iff its evaluation would reproduce the baseline's bitwise. False
+  /// on a structural seed of its output or fanins, a value-dirty fanin, a
+  /// baseline evaluation without a record, or — cross-pass only — one that
+  /// reported diagnostics (their pass index differs). Otherwise re-run
+  /// classify_coupling on every recorded t_bcs (and settle bound) against
+  /// this pass's timing and quiet basis: true iff every load is bitwise
+  /// the recorded one.
+  bool gate_reusable(netlist::GateId gate, const PassConfig& config,
+                     const std::vector<NetTiming>& timing) const;
 
   /// Evaluate every arc of `gate` and merge results into the output net's
-  /// events. Thread-safe against other gates of the same pass: coupling
-  /// reads go through the pass-anchored ready-level predicate (see
+  /// events, recording its classifications into config.classes.
+  /// Thread-safe against other gates of the same pass: coupling reads go
+  /// through the pass-anchored ready-level predicate (see
   /// classify_coupling); `thread_id` selects the scratch.
   void process_gate(netlist::GateId gate, const PassConfig& config,
                     std::vector<NetTiming>& timing, std::size_t thread_id);

@@ -23,8 +23,8 @@ DirtySet build_dirty_set(const sta::DesignView& design,
     ds.dirty_net[n] = 1;
     work.push_back(n);
   };
-  // Structural seed: the net itself was edited (or reads an edited input
-  // outside the timing values, like a moved early bound or a level flip).
+  // Structural seed: the net itself was edited, or its driver's level
+  // changed (the anchor of its own coupling classification).
   auto seed = [&](netlist::NetId n) {
     if (n == netlist::kNoNet) return;
     ds.seed_net[n] = 1;
@@ -62,19 +62,14 @@ DirtySet build_dirty_set(const sta::DesignView& design,
         seed(e.net_b);
         const netlist::Gate& g = nl.gate(e.gate);
         seed(g.pin_nets[g.cell->output_pin()]);
-        // A level change flips the snapshot predicate "driver finished
-        // before my level?" — both for the gate's own classification and
-        // for every victim that counts it as a neighbour. Invalidate the
-        // releveled outputs and their whole coupling neighbourhoods; the
-        // level filter below would miss exactly these flips.
+        // A level change moves the snapshot anchor of the gate's own
+        // classification. A victim that counts it as a neighbour needs no
+        // seed: the engine's reuse test re-classifies against the current
+        // ready levels (StaEngine::gate_reusable).
         if (coupling_aware) {
           for (const netlist::GateId c : e.releveled_gates) {
             const netlist::Gate& cg = nl.gate(c);
-            const netlist::NetId out = cg.pin_nets[cg.cell->output_pin()];
-            seed(out);
-            for (const extract::NeighborCap& nb : para.net(out).couplings) {
-              seed(nb.neighbor);
-            }
+            seed(cg.pin_nets[cg.cell->output_pin()]);
           }
         }
         break;

@@ -31,9 +31,11 @@ struct DirtySet {
   /// for StaEngine::run, which propagates from here dynamically with value
   /// cut-off.
   std::vector<char> seed_net;
-  /// Per net: timing may change under the static (value-blind) closure.
-  /// An upper bound on what the engine's dynamic propagation can dirty;
-  /// used for statistics and as the conservative contract in tests.
+  /// Per net: in the static (value-blind) closure of the seeds over
+  /// fanout and the coupling edges read under the current levels. Used
+  /// for statistics. In one-step mode a victim whose read of a releveled
+  /// or early-moved neighbour flips can lie outside it; the engine's reuse
+  /// test re-classifies and catches it, so no seed is needed.
   std::vector<char> dirty_net;
   /// Per gate: output net outside the static closure.
   std::vector<char> clean_gate;
@@ -41,8 +43,7 @@ struct DirtySet {
 };
 
 /// Seed from the edit log, close over fanout + coupling. `extra_seed_nets`
-/// lets the caller add seeds the log cannot express (e.g. nets whose
-/// early-activity bound moved under the timing-window extension).
+/// lets the caller add seeds the log cannot express.
 DirtySet build_dirty_set(const sta::DesignView& design,
                          const StaOptions& options,
                          const std::vector<EditRecord>& edits,

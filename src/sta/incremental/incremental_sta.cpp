@@ -56,16 +56,14 @@ std::vector<netlist::GateId> early_seed_gates(
 }
 
 /// Incremental min-propagation: recompute the seeds' outputs with the
-/// shared per-gate kernel and chase differences level by level. Returns the
-/// nets whose early bound moved (bitwise). Produces exactly the numbers
-/// compute_early_activity would: gates of one level never read each other,
-/// and a gate's slot changes only if some input of its kernel did.
-std::vector<netlist::NetId> update_early(const sta::DesignView& design,
-                                         const EarlyOptions& options,
-                                         double coupling_derate,
-                                         const std::vector<netlist::GateId>& seeds,
-                                         EarlyTimes& early,
-                                         util::RunGovernor* governor) {
+/// shared per-gate kernel and chase differences level by level. Produces
+/// exactly the numbers compute_early_activity would: gates of one level
+/// never read each other, and a gate's slot changes only if some input of
+/// its kernel did.
+void update_early(const sta::DesignView& design, const EarlyOptions& options,
+                  double coupling_derate,
+                  const std::vector<netlist::GateId>& seeds, EarlyTimes& early,
+                  util::RunGovernor* governor) {
   const netlist::Netlist& nl = *design.netlist;
   const netlist::LevelizedDag& dag = *design.dag;
   const device::Technology& tech = design.tables->tech();
@@ -82,7 +80,6 @@ std::vector<netlist::NetId> update_early(const sta::DesignView& design,
   };
   for (const netlist::GateId g : seeds) push(g);
 
-  std::vector<netlist::NetId> changed;
   // Ascending levels; pushes always target strictly deeper levels (timed
   // sinks), so no bucket is revisited.
   for (std::size_t lvl = 0; lvl < buckets.size(); ++lvl) {
@@ -100,14 +97,12 @@ std::vector<netlist::NetId> update_early(const sta::DesignView& design,
       recompute_gate_early(design, options, coupling_derate, calc, sharp_rise,
                            sharp_fall, g, early);
       if (early.rise[out] == old_rise && early.fall[out] == old_fall) continue;
-      changed.push_back(out);
       for (const netlist::PinRef& s : nl.net(out).sinks) {
         if (!netlist::is_timed_input(*nl.gate(s.gate).cell, s.pin)) continue;
         push(s.gate);
       }
     }
   }
-  return changed;
 }
 
 }  // namespace
@@ -134,10 +129,10 @@ StaResult IncrementalSta::run() {
                                         log.end());
     stats_.full_run = false;
 
-    // Timing windows: bring the cached early bound up to date first; any
-    // net whose bound moved can flip the window test of every victim that
-    // counts it as a neighbour, so those victims seed the dirty set.
-    std::vector<netlist::NetId> extra_seeds;
+    // Timing windows: bring the cached early bound up to date first. A
+    // moved bound can flip the window test of a victim that counts the net
+    // as a neighbour; the engine's reuse test reads the updated arrays, so
+    // such victims need no seed.
     const bool inject_early = options_.timing_windows && has_early_;
     // Pre-start the budget epoch so the cached-early update below is
     // charged against the same deadline as the engine run it precedes
@@ -148,16 +143,9 @@ StaResult IncrementalSta::run() {
                            static_cast<std::int64_t>(edits.size()));
       // Same derate as StaEngine::run's early bound, so the incremental
       // bound is bitwise the from-scratch one.
-      const std::vector<netlist::NetId> moved = update_early(
-          view, options_.early, options_.coupling_derate,
-          early_seed_gates(*view.netlist, edits), early_, &engine.governor());
-      for (const netlist::NetId n : moved) {
-        extra_seeds.push_back(n);
-        for (const extract::NeighborCap& nb :
-             view.parasitics->net(n).couplings) {
-          extra_seeds.push_back(nb.neighbor);
-        }
-      }
+      update_early(view, options_.early, options_.coupling_derate,
+                   early_seed_gates(*view.netlist, edits), early_,
+                   &engine.governor());
     }
 
     DirtySet dirty;
@@ -171,7 +159,7 @@ StaResult IncrementalSta::run() {
     } else {
       util::TraceSpan span(engine.trace_buffer(), "eco.build_dirty", "edits",
                            static_cast<std::int64_t>(edits.size()));
-      dirty = build_dirty_set(view, options_, edits, extra_seeds);
+      dirty = build_dirty_set(view, options_, edits, {});
     }
     stats_.dirty_nets = dirty.dirty_nets;
     hints.seed_dirty = &dirty.seed_net;

@@ -32,6 +32,7 @@ const char* engine_counter_name(EngineCounter c) {
     case EngineCounter::kCouplingReclassifications:
       return "coupling_reclassifications";
     case EngineCounter::kGatesEvaluated: return "gates_evaluated";
+    case EngineCounter::kGatesCarried: return "gates_carried";
     case EngineCounter::kCount: break;
   }
   return "?";
@@ -72,6 +73,7 @@ void MetricsRegistry::begin_pass(int pass_index, std::uint64_t waveform_calcs,
   pass_calcs_base_ = waveform_calcs;
   pass_reused_base_ = gates_reused;
   pass_gates_base_ = counter_total(EngineCounter::kGatesEvaluated);
+  pass_carried_base_ = counter_total(EngineCounter::kGatesCarried);
   pass_start_ns_ = util::monotonic_ns();
   pass_open_ = true;
 }
@@ -97,6 +99,8 @@ void MetricsRegistry::end_pass(std::uint64_t waveform_calcs,
   pm.gates_evaluated =
       counter_total(EngineCounter::kGatesEvaluated) - pass_gates_base_;
   pm.gates_reused = gates_reused - pass_reused_base_;
+  pm.gates_carried =
+      counter_total(EngineCounter::kGatesCarried) - pass_carried_base_;
   pass_open_ = false;
 }
 
@@ -169,6 +173,7 @@ std::string format_metrics_summary(const MetricsSnapshot& m) {
        << p.level_gates.size() << " levels, " << p.gates_evaluated
        << " gates";
     if (p.gates_reused > 0) os << " (+" << p.gates_reused << " reused)";
+    if (p.gates_carried > 0) os << " (+" << p.gates_carried << " carried)";
     os << ", " << p.waveform_calcs << " calcs";
     if (p.governor_wall_seconds > 0.0) {
       os << ", governor " << std::fixed << std::setprecision(3)

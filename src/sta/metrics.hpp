@@ -28,6 +28,7 @@ enum class EngineCounter : std::size_t {
   kCouplingClassifications,    ///< aggressor classification computations
   kCouplingReclassifications,  ///< timing-window refinements that recomputed
   kGatesEvaluated,             ///< gates actually processed (not reused)
+  kGatesCarried,               ///< gates copied from the run's previous pass
   kCount,
 };
 constexpr std::size_t kNumEngineCounters =
@@ -70,6 +71,8 @@ struct PassMetrics {
   std::uint64_t waveform_calcs = 0;
   std::uint64_t gates_evaluated = 0;
   std::uint64_t gates_reused = 0;
+  /// Gates copied unchanged from the previous pass of the same run.
+  std::uint64_t gates_carried = 0;
   std::vector<std::uint64_t> level_gates;
   /// Per-level dispatch wall only — the serial governor checkpoints are
   /// attributed to governor_wall_seconds instead, so the level walls stay
@@ -161,6 +164,7 @@ class MetricsRegistry {
   std::uint64_t pass_calcs_base_ = 0;
   std::uint64_t pass_reused_base_ = 0;
   std::uint64_t pass_gates_base_ = 0;
+  std::uint64_t pass_carried_base_ = 0;
   std::uint64_t pass_start_ns_ = 0;
   bool pass_open_ = false;
 };

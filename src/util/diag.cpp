@@ -72,7 +72,15 @@ bool diagnostic_order(const Diagnostic& a, const Diagnostic& b) {
                   b.ctx.line, b.ctx.column, b.code, b.severity, b.message);
 }
 
+namespace {
+/// Reports made by the calling thread, over every sink (thread_reports()).
+thread_local std::uint64_t t_thread_reports = 0;
+}  // namespace
+
+std::uint64_t DiagSink::thread_reports() { return t_thread_reports; }
+
 bool DiagSink::report(Diagnostic d) {
+  ++t_thread_reports;
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.size() >= capacity_) {
     ++dropped_;

@@ -177,6 +177,12 @@ class DiagSink {
   std::vector<Diagnostic> snapshot() const { return slice(0); }
   void clear();
 
+  /// Reports (stored or dropped) the calling thread has made to any sink
+  /// so far. Comparing it before and after a synchronous computation tells
+  /// whether that computation reported anything, even into a full sink or
+  /// without a gate context.
+  static std::uint64_t thread_reports();
+
  private:
   mutable std::mutex mutex_;
   std::size_t capacity_;

@@ -83,6 +83,10 @@ struct RunBudget {
   /// Cap on waveform calculations (the unit of work of the engine; the
   /// transient solver counts accepted time steps instead). Checked at
   /// serial points only, so truncation is bitwise thread-count invariant.
+  /// Counts calculations actually performed: gates an iterative pass
+  /// carries from the previous pass, or copies from an incremental
+  /// baseline, cost nothing, so a capped run truncates later and refines
+  /// further for the same cap. The anytime guarantee is unaffected.
   std::size_t max_waveform_calcs = 0;
   BudgetPolicy policy = BudgetPolicy::kAnytime;
 
