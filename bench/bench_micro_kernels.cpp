@@ -143,6 +143,40 @@ void BM_ArcCompute(benchmark::State& state) {
 }
 BENCHMARK(BM_ArcCompute);
 
+// One coupling-aware arc evaluation as process_gate runs it (§5.1): the best
+// case (all coupling grounded) stopped at its threshold crossing t_bcs, then
+// the worst case from the best case's pre-output hops. Arg 0 is a one-stage
+// NAND2 (nothing to share), arg 1 a two-stage AND2. Compare against two
+// BM_ArcCompute-style full evaluations.
+void BM_ArcOneStepPair(benchmark::State& state) {
+  delaycalc::ArcDelayCalculator calc(tables());
+  const netlist::Cell& cell = netlist::CellLibrary::half_micron().get(
+      state.range(0) == 0 ? "NAND2_X1" : "AND2_X1");
+  const util::Pwl in =
+      util::Pwl::ramp(0.0, tech().model_vth, 0.2e-9, tech().vdd);
+  for (auto _ : state) {
+    delaycalc::ArcEvaluation arc(calc, cell, 0, true, in);
+    benchmark::DoNotOptimize(arc.evaluate_to_threshold({40e-15, 0.0}));
+    benchmark::DoNotOptimize(arc.evaluate({30e-15, 10e-15}));
+  }
+}
+BENCHMARK(BM_ArcOneStepPair)->Arg(0)->Arg(1);
+
+// The same pair evaluated the pre-sharing way: two full computes.
+void BM_ArcFullPair(benchmark::State& state) {
+  delaycalc::ArcDelayCalculator calc(tables());
+  const netlist::Cell& cell = netlist::CellLibrary::half_micron().get(
+      state.range(0) == 0 ? "NAND2_X1" : "AND2_X1");
+  const util::Pwl in =
+      util::Pwl::ramp(0.0, tech().model_vth, 0.2e-9, tech().vdd);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(calc.compute(cell, 0, true, in, {40e-15, 0.0}));
+    benchmark::DoNotOptimize(
+        calc.compute(cell, 0, true, in, {30e-15, 10e-15}));
+  }
+}
+BENCHMARK(BM_ArcFullPair)->Arg(0)->Arg(1);
+
 // Tracing overhead when disabled: a TraceSpan against a null buffer must
 // cost one pointer test on construction and destruction. Compare against
 // BM_StageWaveform to bound the relative overhead of instrumenting the

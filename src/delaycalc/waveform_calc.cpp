@@ -58,23 +58,61 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
                                     const OutputLoad& load,
                                     const IntegrationOptions& opt,
                                     const util::DiagHandle* diag) {
+  return StageSolver(tables, drive, load, opt, diag).solve_to_settle();
+}
+
+StageSolver::StageSolver(const device::DeviceTableSet& tables,
+                         const StageDrive& drive, const OutputLoad& load,
+                         const IntegrationOptions& options,
+                         const util::DiagHandle* diag)
+    : tables_(&tables),
+      drive_(drive),
+      load_(load),
+      opt_(options),
+      diag_(diag) {
   const device::Technology& tech = tables.tech();
   const double vdd = tech.vdd;
-  const double vth = tech.model_vth;
   const bool rising = drive.output_rising;
-  const util::Pwl& vin = *drive.vin;
-
-  const double c_total = load.c_passive + load.c_active;
-  if (c_total <= 0.0) {
+  if (load.c_passive + load.c_active <= 0.0) {
     throw std::runtime_error("stage output has no load capacitance");
   }
   if ((rising && drive.wp_eq <= 0.0) || (!rising && drive.wn_eq <= 0.0)) {
     throw std::runtime_error("stage drive network is cut off");
   }
+  ev_ = make_coupling_event(
+      vdd, tech.model_vth, load.c_active, load.c_passive, rising,
+      rising ? vdd - 2.0 * options.settle_band : 2.0 * options.settle_band);
 
-  const CouplingEvent ev = make_coupling_event(
-      vdd, vth, load.c_active, load.c_passive, rising,
-      rising ? vdd - 2.0 * opt.settle_band : 2.0 * opt.settle_band);
+  raw_.reserve(kRawReserve);
+  v_ = rising ? 0.0 : vdd;
+  t_ = drive.vin->front().t;
+  raw_.append(t_, v_);
+  fired_ = load.c_active <= 0.0;
+}
+
+WaveformResult StageSolver::solve_to_threshold() {
+  if (load_.c_active > 0.0) {
+    throw std::invalid_argument(
+        "a coupled stage solve cannot stop at the threshold crossing");
+  }
+  return integrate(true);
+}
+
+WaveformResult StageSolver::solve_to_settle() { return integrate(false); }
+
+WaveformResult StageSolver::integrate(bool stop) {
+  const device::DeviceTableSet& tables = *tables_;
+  const StageDrive& drive = drive_;
+  const OutputLoad& load = load_;
+  const IntegrationOptions& opt = opt_;
+  const util::DiagHandle* diag = diag_;
+  const CouplingEvent& ev = ev_;
+  const device::Technology& tech = tables.tech();
+  const double vdd = tech.vdd;
+  const double vth = tech.model_vth;
+  const bool rising = drive.output_rising;
+  const util::Pwl& vin = *drive.vin;
+  const double c_total = load.c_passive + load.c_active;
 
   util::FaultInjector* injector = diag != nullptr ? diag->faults : nullptr;
   const std::int64_t gate_ctx = diag != nullptr ? diag->ctx.gate : -1;
@@ -146,16 +184,24 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     bool nonfinite = false;
   };
 
-  // Cursor into vin for both step solvers. BE time moves forward except
-  // after the coupling drop and in the step-halving rung, where value_at
-  // falls back to binary search.
-  std::size_t vin_hint = 0;
+  // The carried state lives in locals while the loop runs and is stored
+  // back on every exit that leaves the solver resumable.
+  std::size_t vin_hint = vin_hint_;
+  std::uint64_t newton_iters = newton_iters_;
+  int fallback_steps = fallback_steps_;
+  bool reported_failure = reported_failure_;
+  bool reported_damped = reported_damped_;
+  bool reported_halving = reported_halving_;
+  bool reported_bisection = reported_bisection_;
+
+  // Cursor into vin for both step solvers (vin_hint). BE time moves forward
+  // except after the coupling drop and in the step-halving rung, where
+  // value_at falls back to binary search.
 
   // Backward-Euler implicit step solved by Newton on the table model. The
   // undamped (dv_clamp = 0.5) variant reproduces the historical fast path
   // bit-for-bit when it converges; exhausting max_iters now *reports*
   // failure instead of silently keeping the last iterate.
-  std::uint64_t newton_iters = 0;
   auto newton_attempt = [&](double t_next, double h, double v_prev,
                             double dv_clamp, int max_iters,
                             const Inject& inj) {
@@ -239,14 +285,9 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     return a;
   };
 
-  int fallback_steps = 0;
-  // One report per fallback rung per solve call keeps the sink readable
-  // under sticky faults (a poisoned gate takes hundreds of BE steps).
-  bool reported_failure = false;
-  bool reported_damped = false;
-  bool reported_halving = false;
-  bool reported_bisection = false;
-
+  // One report per fallback rung per solve (reported_* carried across a
+  // stop) keeps the sink readable under sticky faults (a poisoned gate
+  // takes hundreds of BE steps).
   auto advance = [&](double t_next, double h, double v_prev) {
     const Inject inj = probe();
     StepAttempt a = newton_attempt(t_next, h, v_prev, 0.5, opt.max_newton, inj);
@@ -341,89 +382,107 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
         "solver fallback chain exhausted at t=" + std::to_string(t_next)));
   };
 
+  util::Pwl raw = std::move(raw_);
+  double v = v_;
+  double t = t_;
+  double h = h_;
+  bool fired = fired_;
   WaveformResult result;
-  util::Pwl raw;
-  raw.reserve(kRawReserve);
-  double v = rising ? 0.0 : vdd;
-  double t = vin.front().t;
-  raw.append(t, v);
-  double h = 1e-12;
-  bool fired = load.c_active <= 0.0;
+  result.coupled = coupled_;
+  result.drop_time = drop_time_;
   const double t_in_end = vin.back().t;
+  const double threshold = rising ? vth : vdd - vth;
 
   auto settled = [&](double voltage) {
     return rising ? voltage >= vdd - opt.settle_band
                   : voltage <= opt.settle_band;
   };
+  // The clipped waveform's first two samples are final once a raw sample
+  // lies past its start (first_reach_after's tolerance and interpolation).
+  // `reached` only spares the scan while the output is short of it.
+  auto past_threshold = [&]() {
+    const bool reached = rising ? v >= threshold - 1e-12
+                                : v <= threshold + 1e-12;
+    return reached &&
+           raw.back().t > first_reach_after(raw, threshold, rising, -1e300);
+  };
 
-  std::size_t steps = 0;
-  for (;; ++steps) {
-    if (steps > opt.max_steps) {
-      throw util::DiagError(make_diag(
-          util::DiagCode::kIntegrationStall, util::Severity::kError,
-          "waveform integration did not settle within " +
-              std::to_string(opt.max_steps) + " steps"));
-    }
-    const double t_next = t + h;
-    const double v_next = advance(t_next, h, v);
-
-    if (!fired && !ev.clamped) {
-      const bool crossed = rising
-                               ? (v < ev.trigger_voltage &&
-                                  v_next >= ev.trigger_voltage)
-                               : (v > ev.trigger_voltage &&
-                                  v_next <= ev.trigger_voltage);
-      if (crossed) {
-        const double frac = (ev.trigger_voltage - v) / (v_next - v);
-        double t_cross = t + frac * h;
-        t_cross = std::max(t_cross, raw.back().t + 1e-16);
-        raw.append(t_cross, ev.trigger_voltage);
-        v = rising ? ev.trigger_voltage - ev.delta_v
-                   : ev.trigger_voltage + ev.delta_v;
-        t = t_cross + 1e-15;
-        raw.append(t, v);
-        fired = true;
-        result.coupled = true;
-        result.drop_time = t_cross;
-        h = std::max(h / 4.0, opt.h_min);
-        continue;
+  std::size_t steps = steps_;
+  if (!settled_) {
+    for (;; ++steps) {
+      if (steps > opt.max_steps) {
+        throw util::DiagError(make_diag(
+            util::DiagCode::kIntegrationStall, util::Severity::kError,
+            "waveform integration did not settle within " +
+                std::to_string(opt.max_steps) + " steps"));
       }
-    }
+      const double t_next = t + h;
+      const double v_next = advance(t_next, h, v);
 
-    const double dv = std::abs(v_next - v);
-    t = t_next;
-    v = v_next;
-    raw.append(t, v);
-    h = std::clamp(h * std::clamp(opt.v_step_target / std::max(dv, 1e-6),
-                                  0.5, 2.0),
-                   opt.h_min, opt.h_max);
-
-    if (t >= t_in_end && settled(v)) {
-      if (!fired) {
-        // Clamped event: the trigger lies beyond the final voltage, so the
-        // worst case is a kick at the very end of the transition, followed
-        // by a recovery (still an upper bound — DESIGN.md §6).
-        v += rising ? -ev.delta_v : ev.delta_v;
-        v = std::clamp(v, 0.0, vdd);
-        t += 1e-15;
-        raw.append(t, v);
-        fired = true;
-        result.coupled = true;
-        result.drop_time = t;
-        h = 1e-12;
-        continue;
+      if (!fired && !ev.clamped) {
+        const bool crossed = rising
+                                 ? (v < ev.trigger_voltage &&
+                                    v_next >= ev.trigger_voltage)
+                                 : (v > ev.trigger_voltage &&
+                                    v_next <= ev.trigger_voltage);
+        if (crossed) {
+          const double frac = (ev.trigger_voltage - v) / (v_next - v);
+          double t_cross = t + frac * h;
+          t_cross = std::max(t_cross, raw.back().t + 1e-16);
+          raw.append(t_cross, ev.trigger_voltage);
+          v = rising ? ev.trigger_voltage - ev.delta_v
+                     : ev.trigger_voltage + ev.delta_v;
+          t = t_cross + 1e-15;
+          raw.append(t, v);
+          fired = true;
+          result.coupled = true;
+          result.drop_time = t_cross;
+          h = std::max(h / 4.0, opt.h_min);
+          continue;
+        }
       }
-      break;
+
+      const double dv = std::abs(v_next - v);
+      t = t_next;
+      v = v_next;
+      raw.append(t, v);
+      h = std::clamp(h * std::clamp(opt.v_step_target / std::max(dv, 1e-6),
+                                    0.5, 2.0),
+                     opt.h_min, opt.h_max);
+
+      if (t >= t_in_end && settled(v)) {
+        if (!fired) {
+          // Clamped event: the trigger lies beyond the final voltage, so
+          // the worst case is a kick at the very end of the transition,
+          // followed by a recovery (still an upper bound — DESIGN.md §6).
+          v += rising ? -ev.delta_v : ev.delta_v;
+          v = std::clamp(v, 0.0, vdd);
+          t += 1e-15;
+          raw.append(t, v);
+          fired = true;
+          result.coupled = true;
+          result.drop_time = t;
+          h = 1e-12;
+          continue;
+        }
+        settled_ = true;
+        break;
+      }
+      if (stop && past_threshold()) {
+        ++steps;  // the increment the uninterrupted loop makes here
+        break;
+      }
     }
   }
+  coupled_ = result.coupled;
+  drop_time_ = result.drop_time;
   result.settle_time = t;
-  result.be_steps = steps;
-  result.newton_iters = newton_iters;
+  result.be_steps = steps - steps_reported_;
+  result.newton_iters = newton_iters - newton_reported_;
 
   // Clip: the propagated waveform starts at the model threshold, taken at
   // or after the coupling drop (paper: "the waveforms start with the value
   // of Vth"; the pre-drop glitch is discarded).
-  const double threshold = rising ? vth : vdd - vth;
   const double t_min = result.coupled ? result.drop_time : -1e300;
   double t_start = first_reach_after(raw, threshold, rising, t_min);
   if (!std::isfinite(t_start)) {
@@ -458,7 +517,7 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     // dominates that noise (and the iterative engine's best-pass drift)
     // turns "approximately equal" into "provably never earlier".
     result.degraded = true;
-    result.fallback_steps = fallback_steps;
+    result.fallback_steps = fallback_steps - fallback_reported_;
     const double span =
         std::max(result.settle_time - result.waveform.front().t, 0.0);
     const double margin =
@@ -467,6 +526,24 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
     result.settle_time += margin;
     if (result.coupled) result.drop_time += margin;
   }
+
+  // Keep the state for a later solve_to_settle.
+  raw_ = std::move(raw);
+  t_ = t;
+  v_ = v;
+  h_ = h;
+  fired_ = fired;
+  steps_ = steps;
+  vin_hint_ = vin_hint;
+  newton_iters_ = newton_iters;
+  fallback_steps_ = fallback_steps;
+  reported_failure_ = reported_failure;
+  reported_damped_ = reported_damped;
+  reported_halving_ = reported_halving;
+  reported_bisection_ = reported_bisection;
+  steps_reported_ = steps;
+  newton_reported_ = newton_iters;
+  fallback_reported_ = fallback_steps;
   return result;
 }
 

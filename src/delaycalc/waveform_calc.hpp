@@ -89,4 +89,69 @@ WaveformResult solve_stage_waveform(const device::DeviceTableSet& tables,
                                     const IntegrationOptions& options = {},
                                     const util::DiagHandle* diag = nullptr);
 
+/// solve_stage_waveform as a resumable solve. The paper's best case needs
+/// only its threshold crossing (t_bcs, §5.1), so an uncoupled solve can
+/// stop there and, only if its waveform is wanted after all, go on to the
+/// rail. The Backward-Euler state (step, voltage, raw samples, fallback
+/// reports) is carried across the stop, so the finished solve is bitwise
+/// the uninterrupted one, diagnostics and work counters included.
+///
+/// `tables`, `*drive.vin` and `diag` are borrowed and must outlive the
+/// solver. A solver whose solve threw is spent.
+class StageSolver {
+ public:
+  /// Throws std::runtime_error like solve_stage_waveform on a stage with no
+  /// load capacitance or a cut-off drive network.
+  StageSolver(const device::DeviceTableSet& tables, const StageDrive& drive,
+              const OutputLoad& load, const IntegrationOptions& options = {},
+              const util::DiagHandle* diag = nullptr);
+
+  /// Integrate until the output has reached the model threshold and holds a
+  /// sample after the crossing. The result is the waveform clipped so far:
+  /// its first two samples are bitwise those of the finished solve (both
+  /// shifted by a smaller margin if a fallback ran); settle_time is the stop
+  /// time. Only for a load without active coupling, whose waveform starts
+  /// at the threshold crossing rather than at a coupling drop.
+  WaveformResult solve_to_threshold();
+
+  /// Integrate (on from a stop, if any) until the output settles:
+  /// solve_stage_waveform's result. The work counters of the result count
+  /// only the steps this call took.
+  WaveformResult solve_to_settle();
+
+ private:
+  /// The Backward-Euler loop; returns after the settle or, with `stop`, at
+  /// the threshold crossing.
+  WaveformResult integrate(bool stop);
+
+  const device::DeviceTableSet* tables_;
+  StageDrive drive_;
+  OutputLoad load_;
+  IntegrationOptions opt_;
+  const util::DiagHandle* diag_;
+  CouplingEvent ev_;
+
+  // Integration state, carried across a stop.
+  util::Pwl raw_;
+  double t_ = 0.0;
+  double v_ = 0.0;
+  double h_ = 1e-12;
+  bool fired_ = false;
+  bool settled_ = false;
+  bool coupled_ = false;
+  double drop_time_ = 0.0;
+  std::size_t steps_ = 0;
+  std::size_t vin_hint_ = 0;
+  std::uint64_t newton_iters_ = 0;
+  int fallback_steps_ = 0;
+  bool reported_failure_ = false;
+  bool reported_damped_ = false;
+  bool reported_halving_ = false;
+  bool reported_bisection_ = false;
+  // Counters already handed out by a stopped solve.
+  std::size_t steps_reported_ = 0;
+  std::uint64_t newton_reported_ = 0;
+  int fallback_reported_ = 0;
+};
+
 }  // namespace xtalk::delaycalc

@@ -56,8 +56,11 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
       const double t_in = in_rising ? early.rise[in_net] : early.fall[in_net];
       if (!std::isfinite(t_in)) continue;
       const util::Pwl& ramp = in_rising ? sharp_rise : sharp_fall;
+      // Only the front and the first segment are read below, so the output
+      // stage stops once past the threshold crossing.
+      delaycalc::ArcEvaluation arc(calc, cell, p, in_rising, ramp);
       for (const delaycalc::ArcResult& r :
-           calc.compute(cell, p, in_rising, ramp, {base, 0.0})) {
+           arc.evaluate_to_threshold({base, 0.0})) {
         // The waveform starts at the model threshold: its front time is
         // the arc's threshold-to-threshold delay for this sharp input.
         double d = r.waveform.front().t;

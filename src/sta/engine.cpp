@@ -181,40 +181,32 @@ util::DiagHandle StaEngine::gate_diag(netlist::GateId gate, netlist::NetId out,
 }
 
 std::vector<delaycalc::ArcResult> StaEngine::compute_arc(
-    const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
-    const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
-    std::size_t thread_id, const util::DiagHandle& diag) {
+    delaycalc::ArcEvaluation& arc, const delaycalc::OutputLoad& load,
+    std::size_t thread_id, const util::DiagHandle& diag, bool to_threshold) {
   waveform_calcs_.fetch_add(1, std::memory_order_relaxed);
-  DelayScratch& scratch = scratch_[thread_id];
   std::vector<delaycalc::ArcResult> results;
   if (nldm_ != nullptr) {
-    results = nldm_->compute(cell, pin, in_rising, input_waveform, load,
-                             &scratch.nldm);
+    results = nldm_->compute(arc.cell(), arc.input_pin(), arc.input_rising(),
+                             arc.input_waveform(), load,
+                             &scratch_[thread_id].nldm);
   } else {
     try {
-      results =
-          calculator_.compute(cell, pin, in_rising, input_waveform, load,
-                              options_.integration, &scratch.arc, &diag);
+      results = to_threshold ? arc.evaluate_to_threshold(load)
+                             : arc.evaluate(load);
     } catch (const util::DiagError& err) {
       if (!diag.degrade()) throw;
       // Unrecoverable solver fault under kDegrade: record it and substitute
       // the conservative bound.
       if (diag.sink != nullptr) diag.sink->report(err.diagnostic());
-      results = bound_arc(cell, pin, in_rising, input_waveform, load,
+      results = bound_arc(arc.cell(),
+                          static_cast<std::uint32_t>(arc.input_pin()),
+                          arc.input_rising(), arc.input_waveform(), load,
                           thread_id, diag);
     }
   }
   if (metrics_ != nullptr) {
-    // Pure bookkeeping of counters the solver maintained anyway — per-thread
-    // shards, so no contention and bitwise thread-count-invariant totals.
     for (const delaycalc::ArcResult& r : results) {
-      metrics_->add(thread_id, EngineCounter::kBeSteps, r.be_steps);
-      metrics_->add(thread_id, EngineCounter::kNewtonIterations,
-                    r.newton_iters);
-      if (r.fallback_steps > 0) {
-        metrics_->add(thread_id, EngineCounter::kFallbackBeSteps,
-                      r.fallback_steps);
-      }
+      count_solver_work(r, thread_id);
       if (r.degraded) {
         metrics_->add(thread_id, EngineCounter::kDegradedArcs);
       }
@@ -223,6 +215,46 @@ std::vector<delaycalc::ArcResult> StaEngine::compute_arc(
     }
   }
   return results;
+}
+
+bool StaEngine::finish_arc(delaycalc::ArcEvaluation& arc,
+                           std::vector<delaycalc::ArcResult>& results,
+                           bool out_rising, std::size_t thread_id,
+                           const util::DiagHandle& diag) {
+  // Stopped results come from evaluate_to_threshold only: one per stage
+  // path, in path order.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    delaycalc::ArcResult& r = results[i];
+    if (!r.stopped || r.output_rising != out_rising) continue;
+    const bool was_degraded = r.degraded;
+    try {
+      r = arc.complete(i);
+    } catch (const util::DiagError& err) {
+      if (!diag.degrade()) throw;
+      if (diag.sink != nullptr) diag.sink->report(err.diagnostic());
+      return false;
+    }
+    if (metrics_ != nullptr) {
+      count_solver_work(r, thread_id);
+      if (r.degraded && !was_degraded) {
+        metrics_->add(thread_id, EngineCounter::kDegradedArcs);
+      }
+    }
+  }
+  return true;
+}
+
+void StaEngine::count_solver_work(const delaycalc::ArcResult& r,
+                                  std::size_t thread_id) {
+  // Pure bookkeeping of counters the solver maintained anyway — per-thread
+  // shards, so no contention and bitwise thread-count-invariant totals.
+  metrics_->add(thread_id, EngineCounter::kBeSteps, r.be_steps);
+  metrics_->add(thread_id, EngineCounter::kBeStepsShared, r.be_steps_shared);
+  metrics_->add(thread_id, EngineCounter::kNewtonIterations, r.newton_iters);
+  if (r.fallback_steps > 0) {
+    metrics_->add(thread_id, EngineCounter::kFallbackBeSteps,
+                  r.fallback_steps);
+  }
 }
 
 std::vector<delaycalc::ArcResult> StaEngine::bound_arc(
@@ -448,6 +480,9 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
       const util::Pwl in_wave = elmore > 0.0 ? in_ev.waveform.shifted(elmore)
                                              : in_ev.waveform;
       const EventOrigin origin{gate_id, in_net, in_rising};
+      delaycalc::ArcEvaluation arc(calculator_, cell, p, in_rising, in_wave,
+                                   options_.integration,
+                                   &scratch_[thread_id].arc, &dh);
 
       switch (options_.mode) {
         case AnalysisMode::kBestCase:
@@ -462,8 +497,7 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
             load = {base, cc_sum};
           }
           for (const delaycalc::ArcResult& r :
-               compute_arc(cell, p, in_rising, in_wave, load, thread_id,
-                           dh)) {
+               compute_arc(arc, load, thread_id, dh)) {
             merge(r, origin, in_ev.degraded);
           }
           break;
@@ -476,17 +510,19 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
             // of a timing-based classification. The all-active worst case
             // (§4) is a sound bound for any alignment, so use it instead.
             for (const delaycalc::ArcResult& r :
-                 compute_arc(cell, p, in_rising, in_wave, {base, cc_sum},
-                             thread_id, dh)) {
+                 compute_arc(arc, {base, cc_sum}, thread_id, dh)) {
               merge(r, origin, true);
             }
             break;
           }
           // Best-case run: all adjacent wires quiet, caps grounded
           // unchanged. Its Vth crossing is the earliest possible victim
-          // activity (lower time bound of the current waveform, §5.1).
-          const auto bcs = compute_arc(cell, p, in_rising, in_wave,
-                                       {base + cc_sum, 0.0}, thread_id, dh);
+          // activity (lower time bound of the current waveform, §5.1), and
+          // that crossing is all the classification reads. So the run stops
+          // there, and goes on to the rail only if its waveform is merged.
+          // Without coupling caps it always is, so it runs through.
+          const delaycalc::OutputLoad best{base + cc_sum, 0.0};
+          auto bcs = compute_arc(arc, best, thread_id, dh, cc_sum > 0.0);
           bool bcs_degraded = false;
           for (const delaycalc::ArcResult& r : bcs) {
             bcs_degraded = bcs_degraded || r.degraded;
@@ -503,7 +539,9 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
             const double inf = std::numeric_limits<double>::infinity();
             // Taint rule, best-case side: a degraded best-case run makes
             // t_bcs unreliable (a later t_bcs drops aggressors), so fall
-            // back to all-active coupling instead of classifying.
+            // back to all-active coupling instead of classifying. It reads
+            // the part of the run up to t_bcs; a fallback in the unrun tail
+            // cannot move t_bcs.
             delaycalc::OutputLoad load =
                 bcs_degraded
                     ? delaycalc::OutputLoad{base, cc_sum}
@@ -520,14 +558,23 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
             }
             if (load.c_active <= 0.0) {
               // No neighbour can couple: the best-case run *is* the
-              // worst-case run (loads identical); skip the second calc.
-              for (const delaycalc::ArcResult& r : bcs) {
-                if (r.output_rising == out_rising) merge(r, origin, false);
+              // worst-case run (loads identical); skip the second calc and
+              // finish the best case to the rail instead.
+              if (finish_arc(arc, bcs, out_rising, thread_id, dh)) {
+                for (const delaycalc::ArcResult& r : bcs) {
+                  if (r.output_rising == out_rising) merge(r, origin, false);
+                }
+              } else {
+                for (const delaycalc::ArcResult& r :
+                     bound_arc(cell, p, in_rising, in_wave, best, thread_id,
+                               dh)) {
+                  if (r.output_rising == out_rising) merge(r, origin, false);
+                }
               }
               continue;
             }
-            auto wcs = compute_arc(cell, p, in_rising, in_wave, load,
-                                   thread_id, dh);
+            // The worst case starts from the best case's pre-output hops.
+            auto wcs = compute_arc(arc, load, thread_id, dh);
             if (options_.timing_windows && !bcs_degraded) {
               // Refine: drop aggressors that cannot start before the
               // victim settles under the unrefined worst case (the settle
@@ -561,8 +608,7 @@ void StaEngine::process_gate(netlist::GateId gate_id, const PassConfig& config,
                     metrics_->add(thread_id,
                                   EngineCounter::kCouplingReclassifications);
                   }
-                  wcs = compute_arc(cell, p, in_rising, in_wave, refined,
-                                    thread_id, dh);
+                  wcs = compute_arc(arc, refined, thread_id, dh);
                 }
               }
             }

@@ -466,13 +466,29 @@ class StaEngine {
   /// Collect per-net quiet times from a finished pass.
   QuietTimes collect_quiet(const std::vector<NetTiming>& timing) const;
 
-  /// Dispatch to the configured delay engine. Under kDegrade a
-  /// util::DiagError from the solver is caught here and a conservative
-  /// bound substituted (bound_arc); under kStrict it propagates.
+  /// One waveform calculation of `arc` driving `load`, dispatched to the
+  /// configured delay engine and counted as one calc. With `to_threshold`
+  /// a transistor-level output stage stops past the model threshold
+  /// (ArcResult::stopped; finish_arc completes it); NLDM and bound results
+  /// are always complete. Under kDegrade a util::DiagError from the solver
+  /// is caught here and a conservative bound substituted (bound_arc);
+  /// under kStrict it propagates.
   std::vector<delaycalc::ArcResult> compute_arc(
-      const netlist::Cell& cell, std::uint32_t pin, bool in_rising,
-      const util::Pwl& input_waveform, const delaycalc::OutputLoad& load,
-      std::size_t thread_id, const util::DiagHandle& diag);
+      delaycalc::ArcEvaluation& arc, const delaycalc::OutputLoad& load,
+      std::size_t thread_id, const util::DiagHandle& diag,
+      bool to_threshold = false);
+
+  /// Finish the stopped results of direction `out_rising` in `results`, in
+  /// place, to the rail. They belong to the calc that stopped them and are
+  /// not counted again. Returns false when a finish failed under kDegrade
+  /// (reported; the caller substitutes bound_arc); under kStrict the error
+  /// propagates.
+  bool finish_arc(delaycalc::ArcEvaluation& arc,
+                  std::vector<delaycalc::ArcResult>& results, bool out_rising,
+                  std::size_t thread_id, const util::DiagHandle& diag);
+
+  /// Add one arc result's solver work to the metrics shards.
+  void count_solver_work(const delaycalc::ArcResult& r, std::size_t thread_id);
 
   /// Conservative upper-bound arc results when the transistor-level solver
   /// is unrecoverable: the characterized NLDM delay/slew doubled (plus the

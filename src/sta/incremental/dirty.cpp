@@ -4,8 +4,7 @@ namespace xtalk::sta::incremental {
 
 DirtySet build_dirty_set(const sta::DesignView& design,
                          const StaOptions& options,
-                         const std::vector<EditRecord>& edits,
-                         const std::vector<netlist::NetId>& extra_seed_nets) {
+                         const std::vector<EditRecord>& edits) {
   const netlist::Netlist& nl = *design.netlist;
   const extract::Parasitics& para = *design.parasitics;
   const netlist::LevelizedDag& dag = *design.dag;
@@ -76,7 +75,6 @@ DirtySet build_dirty_set(const sta::DesignView& design,
       }
     }
   }
-  for (const netlist::NetId n : extra_seed_nets) seed(n);
 
   // Transitive closure. A dirty net re-times its timed sink gates (their
   // input waveform may change) and — in the coupling-aware modes — every

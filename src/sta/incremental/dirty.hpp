@@ -42,11 +42,9 @@ struct DirtySet {
   std::size_t dirty_nets = 0;
 };
 
-/// Seed from the edit log, close over fanout + coupling. `extra_seed_nets`
-/// lets the caller add seeds the log cannot express.
+/// Seed from the edit log, close over fanout + coupling.
 DirtySet build_dirty_set(const sta::DesignView& design,
                          const StaOptions& options,
-                         const std::vector<EditRecord>& edits,
-                         const std::vector<netlist::NetId>& extra_seed_nets);
+                         const std::vector<EditRecord>& edits);
 
 }  // namespace xtalk::sta::incremental

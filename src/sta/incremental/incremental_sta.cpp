@@ -159,7 +159,7 @@ StaResult IncrementalSta::run() {
     } else {
       util::TraceSpan span(engine.trace_buffer(), "eco.build_dirty", "edits",
                            static_cast<std::int64_t>(edits.size()));
-      dirty = build_dirty_set(view, options_, edits, {});
+      dirty = build_dirty_set(view, options_, edits);
     }
     stats_.dirty_nets = dirty.dirty_nets;
     hints.seed_dirty = &dirty.seed_net;

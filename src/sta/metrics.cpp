@@ -24,6 +24,7 @@ std::size_t bucket_index(std::uint64_t value) {
 const char* engine_counter_name(EngineCounter c) {
   switch (c) {
     case EngineCounter::kBeSteps: return "be_steps";
+    case EngineCounter::kBeStepsShared: return "be_steps_shared";
     case EngineCounter::kNewtonIterations: return "newton_iterations";
     case EngineCounter::kFallbackBeSteps: return "fallback_be_steps";
     case EngineCounter::kDegradedArcs: return "degraded_arcs";
@@ -74,6 +75,7 @@ void MetricsRegistry::begin_pass(int pass_index, std::uint64_t waveform_calcs,
   pass_reused_base_ = gates_reused;
   pass_gates_base_ = counter_total(EngineCounter::kGatesEvaluated);
   pass_carried_base_ = counter_total(EngineCounter::kGatesCarried);
+  pass_shared_base_ = counter_total(EngineCounter::kBeStepsShared);
   pass_start_ns_ = util::monotonic_ns();
   pass_open_ = true;
 }
@@ -101,6 +103,8 @@ void MetricsRegistry::end_pass(std::uint64_t waveform_calcs,
   pm.gates_reused = gates_reused - pass_reused_base_;
   pm.gates_carried =
       counter_total(EngineCounter::kGatesCarried) - pass_carried_base_;
+  pm.be_steps_shared =
+      counter_total(EngineCounter::kBeStepsShared) - pass_shared_base_;
   pass_open_ = false;
 }
 
@@ -152,7 +156,8 @@ std::string format_metrics_summary(const MetricsSnapshot& m) {
   if (!m.enabled) return "";
   std::ostringstream os;
   os << "metrics: waveform calcs " << m.waveform_calcs << " (be steps "
-     << m.counter(EngineCounter::kBeSteps) << ", newton iters "
+     << m.counter(EngineCounter::kBeSteps) << " + "
+     << m.counter(EngineCounter::kBeStepsShared) << " shared, newton iters "
      << m.counter(EngineCounter::kNewtonIterations) << ", fallback steps "
      << m.counter(EngineCounter::kFallbackBeSteps) << "), coupling class "
      << m.counter(EngineCounter::kCouplingClassifications) << " (+"
@@ -175,6 +180,9 @@ std::string format_metrics_summary(const MetricsSnapshot& m) {
     if (p.gates_reused > 0) os << " (+" << p.gates_reused << " reused)";
     if (p.gates_carried > 0) os << " (+" << p.gates_carried << " carried)";
     os << ", " << p.waveform_calcs << " calcs";
+    if (p.be_steps_shared > 0) {
+      os << ", " << p.be_steps_shared << " be steps shared";
+    }
     if (p.governor_wall_seconds > 0.0) {
       os << ", governor " << std::fixed << std::setprecision(3)
          << p.governor_wall_seconds << " s";

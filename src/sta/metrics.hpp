@@ -22,6 +22,7 @@ namespace xtalk::sta {
 /// Hot-path counters bumped from worker threads via per-thread shards.
 enum class EngineCounter : std::size_t {
   kBeSteps,                    ///< backward-Euler steps across stage solves
+  kBeStepsShared,              ///< BE steps of pre-output hops reused
   kNewtonIterations,           ///< Newton iterations inside those steps
   kFallbackBeSteps,            ///< BE steps that needed the fallback chain
   kDegradedArcs,               ///< arc evaluations with a degraded waveform
@@ -73,6 +74,9 @@ struct PassMetrics {
   std::uint64_t gates_reused = 0;
   /// Gates copied unchanged from the previous pass of the same run.
   std::uint64_t gates_carried = 0;
+  /// BE steps of pre-output stage hops a worst case reused from its best
+  /// case instead of integrating them again.
+  std::uint64_t be_steps_shared = 0;
   std::vector<std::uint64_t> level_gates;
   /// Per-level dispatch wall only — the serial governor checkpoints are
   /// attributed to governor_wall_seconds instead, so the level walls stay
@@ -165,6 +169,7 @@ class MetricsRegistry {
   std::uint64_t pass_reused_base_ = 0;
   std::uint64_t pass_gates_base_ = 0;
   std::uint64_t pass_carried_base_ = 0;
+  std::uint64_t pass_shared_base_ = 0;
   std::uint64_t pass_start_ns_ = 0;
   bool pass_open_ = false;
 };

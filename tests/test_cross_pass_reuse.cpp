@@ -324,7 +324,7 @@ TEST(CrossPassReuseIncremental, MovedEarlyBoundFlipsUnseededVictimWindow) {
   ASSERT_TRUE(victim_coupled(editor, opt, fixture.victim))
       << "fixture: the edits bring the aggressor's window back";
   const incremental::DirtySet dirty =
-      incremental::build_dirty_set(editor.view(), opt, editor.log(), {});
+      incremental::build_dirty_set(editor.view(), opt, editor.log());
   ASSERT_FALSE(dirty.seed_net[fixture.victim]);
   ASSERT_FALSE(dirty.dirty_net[fixture.victim]);
 

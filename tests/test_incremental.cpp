@@ -201,7 +201,7 @@ TEST(DirtySetBuilder, SeedsAreSubsetAndClosureIsFixpoint) {
   editor.resize_gate(g, 1.3);
 
   const DirtySet ds = build_dirty_set(
-      editor.view(), mode_options(AnalysisMode::kOneStep), editor.log(), {});
+      editor.view(), mode_options(AnalysisMode::kOneStep), editor.log());
   ASSERT_EQ(ds.seed_net.size(), nl.num_nets());
   ASSERT_EQ(ds.dirty_net.size(), nl.num_nets());
 
@@ -231,7 +231,7 @@ TEST(DirtySetBuilder, IterativeClosesOverCouplingNeighbours) {
   editor.resize_gate(combinational_gate(nl, 3), 1.3);
 
   const DirtySet iter = build_dirty_set(
-      editor.view(), mode_options(AnalysisMode::kIterative), editor.log(), {});
+      editor.view(), mode_options(AnalysisMode::kIterative), editor.log());
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
     if (!iter.dirty_net[n]) continue;
     if (nl.net(n).driver.gate == netlist::kNoGate) continue;
@@ -248,9 +248,9 @@ TEST(DirtySetBuilder, IterativeClosesOverCouplingNeighbours) {
   // Coupling-blind modes dirty only the fanout cone; the coupling-aware
   // closures can only grow from there.
   const DirtySet best = build_dirty_set(
-      editor.view(), mode_options(AnalysisMode::kBestCase), editor.log(), {});
+      editor.view(), mode_options(AnalysisMode::kBestCase), editor.log());
   const DirtySet one = build_dirty_set(
-      editor.view(), mode_options(AnalysisMode::kOneStep), editor.log(), {});
+      editor.view(), mode_options(AnalysisMode::kOneStep), editor.log());
   EXPECT_LE(best.dirty_nets, one.dirty_nets);
   EXPECT_LE(one.dirty_nets, iter.dirty_nets);
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
