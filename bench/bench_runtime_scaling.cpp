@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/crosstalk_sta.hpp"
@@ -22,15 +23,18 @@ int main(int argc, char** argv) {
   json.root().set("benchmark", "runtime_scaling");
   const std::string json_path = bench::json_path_from_args(argc, argv);
 
-  double scale = 1.0;
-  if (const char* env = std::getenv("XTALK_BENCH_SCALE")) {
-    scale = std::strtod(env, nullptr);
+  // Circuit scale, and worker threads for every run below (0 = one per
+  // hardware thread). A malformed value exits 2, like every other bench.
+  bench::BenchSize size;
+  try {
+    size = bench::parse_bench_size(std::getenv("XTALK_BENCH_SCALE"),
+                                   std::getenv("XTALK_THREADS"), 1.0);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
   }
-  // Worker threads for every run below (0 = one per hardware thread).
-  int num_threads = 0;
-  if (const char* env = std::getenv("XTALK_THREADS")) {
-    num_threads = static_cast<int>(std::strtol(env, nullptr, 10));
-  }
+  const double scale = size.scale;
+  const int num_threads = size.num_threads;
   const auto run_mode = [&](const core::Design& design,
                             sta::AnalysisMode mode, int threads) {
     sta::StaOptions opt;

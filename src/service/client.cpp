@@ -216,21 +216,10 @@ EcoOpenedMsg XtalkClient::eco_open(const RunSpec& spec) {
       transact(MsgType::kEcoOpen, body, MsgType::kEcoOpened), limits_);
 }
 
-EcoResumedMsg XtalkClient::eco_resume(std::uint64_t token) {
-  EcoResumeMsg msg;
-  msg.token = token;
-  util::WireWriter body;
-  msg.encode(body);
-  return decode_body<EcoResumedMsg>(
-      transact(MsgType::kEcoResume, body, MsgType::kEcoResumed), limits_);
-}
-
 std::uint32_t XtalkClient::eco_edit(std::uint32_t session_id,
-                                    const std::vector<EcoOp>& ops,
-                                    std::uint64_t batch_seq) {
+                                    const std::vector<EcoOp>& ops) {
   EcoEditMsg msg;
   msg.session_id = session_id;
-  msg.batch_seq = batch_seq;
   msg.ops = ops;
   util::WireWriter body;
   msg.encode(body);

@@ -113,18 +113,11 @@ class XtalkClient {
   EndpointsMsg query_endpoints(const RunSpec& spec);
   SlackMsg query_slack(const SlackQueryMsg& query);
   HealthMsg health();
-  /// Returns the new session id plus the durable resumption token (token 0
-  /// when the server runs without --state-dir).
+  /// Returns the new session id, valid on this connection only.
   EcoOpenedMsg eco_open(const RunSpec& spec);
-  /// Re-bind a durable session by token after reconnecting to a (possibly
-  /// restarted) server.
-  EcoResumedMsg eco_resume(std::uint64_t token);
   /// Returns the number of ops applied (== ops.size() on success).
-  /// `batch_seq` sequences the batch for server-side exactly-once dedupe
-  /// (0 = unsequenced).
   std::uint32_t eco_edit(std::uint32_t session_id,
-                         const std::vector<EcoOp>& ops,
-                         std::uint64_t batch_seq = 0);
+                         const std::vector<EcoOp>& ops);
   RunResultMsg eco_run(std::uint32_t session_id);
   void eco_close(std::uint32_t session_id);
   StatsMsg stats();

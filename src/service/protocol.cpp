@@ -62,7 +62,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kGetStats: return "get-stats";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kHealth: return "health";
-    case MsgType::kEcoResume: return "eco-resume";
     case MsgType::kHelloOk: return "hello-ok";
     case MsgType::kPong: return "pong";
     case MsgType::kRunResult: return "run-result";
@@ -74,7 +73,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kStats: return "stats";
     case MsgType::kShutdownOk: return "shutdown-ok";
     case MsgType::kHealthOk: return "health-ok";
-    case MsgType::kEcoResumed: return "eco-resumed";
     case MsgType::kError: return "error";
   }
   return "unknown";
@@ -213,14 +211,12 @@ bool EcoOp::decode(util::WireReader& r) {
 
 void EcoEditMsg::encode(util::WireWriter& w) const {
   w.u32(session_id);
-  w.u64(batch_seq);
   w.array(ops.size());
   for (const EcoOp& op : ops) op.encode(w);
 }
 
 bool EcoEditMsg::decode(util::WireReader& r) {
   if (!r.u32(&session_id)) return false;
-  if (!r.u64(&batch_seq)) return false;
   std::uint32_t n;
   if (!r.array(&n, /*min_item_bytes=*/33)) return false;
   ops.resize(n);
@@ -229,10 +225,6 @@ bool EcoEditMsg::decode(util::WireReader& r) {
   }
   return true;
 }
-
-void EcoResumeMsg::encode(util::WireWriter& w) const { w.u64(token); }
-
-bool EcoResumeMsg::decode(util::WireReader& r) { return r.u64(&token); }
 
 // ---------------------------------------------------------------------------
 // SlackQueryMsg
@@ -265,27 +257,9 @@ bool SlackQueryMsg::decode(util::WireReader& r) {
 // Responses
 // ---------------------------------------------------------------------------
 
-void EcoOpenedMsg::encode(util::WireWriter& w) const {
-  w.u32(session_id);
-  w.u64(token);
-}
+void EcoOpenedMsg::encode(util::WireWriter& w) const { w.u32(session_id); }
 
-bool EcoOpenedMsg::decode(util::WireReader& r) {
-  if (!r.u32(&session_id)) return false;
-  return r.u64(&token);
-}
-
-void EcoResumedMsg::encode(util::WireWriter& w) const {
-  w.u32(session_id);
-  w.u64(token);
-  w.u64(applied_seq);
-}
-
-bool EcoResumedMsg::decode(util::WireReader& r) {
-  if (!r.u32(&session_id)) return false;
-  if (!r.u64(&token)) return false;
-  return r.u64(&applied_seq);
-}
+bool EcoOpenedMsg::decode(util::WireReader& r) { return r.u32(&session_id); }
 
 void HelloOkMsg::encode(util::WireWriter& w) const {
   w.u32(protocol_version);
@@ -486,10 +460,6 @@ void StatsMsg::encode(util::WireWriter& w) const {
   w.f64(uptime_seconds);
   w.u64(eco_sessions_reaped);
   w.u64(connections_evicted);
-  w.u64(restart_generation);
-  w.u64(snapshot_age_ms);
-  w.u64(wal_records);
-  w.u64(eco_sessions_resumed);
 }
 
 bool StatsMsg::decode(util::WireReader& r) {
@@ -505,11 +475,7 @@ bool StatsMsg::decode(util::WireReader& r) {
   if (!r.u64(&queue_peak)) return false;
   if (!r.f64(&uptime_seconds)) return false;
   if (!r.u64(&eco_sessions_reaped)) return false;
-  if (!r.u64(&connections_evicted)) return false;
-  if (!r.u64(&restart_generation)) return false;
-  if (!r.u64(&snapshot_age_ms)) return false;
-  if (!r.u64(&wal_records)) return false;
-  return r.u64(&eco_sessions_resumed);
+  return r.u64(&connections_evicted);
 }
 
 void HealthMsg::encode(util::WireWriter& w) const {
@@ -521,9 +487,6 @@ void HealthMsg::encode(util::WireWriter& w) const {
   w.boolean(clamping);
   w.u64(eco_sessions_open);
   w.u64(outbox_bytes);
-  w.u64(restart_generation);
-  w.u64(snapshot_age_ms);
-  w.u64(wal_records);
 }
 
 bool HealthMsg::decode(util::WireReader& r) {
@@ -534,10 +497,7 @@ bool HealthMsg::decode(util::WireReader& r) {
   if (!r.u64(&soft_queue_limit)) return false;
   if (!r.boolean(&clamping)) return false;
   if (!r.u64(&eco_sessions_open)) return false;
-  if (!r.u64(&outbox_bytes)) return false;
-  if (!r.u64(&restart_generation)) return false;
-  if (!r.u64(&snapshot_age_ms)) return false;
-  return r.u64(&wal_records);
+  return r.u64(&outbox_bytes);
 }
 
 void ErrorMsg::encode(util::WireWriter& w) const {

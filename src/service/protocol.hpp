@@ -32,8 +32,10 @@ namespace xtalk::service {
 
 /// v5: RunSpec and RunResultMsg dropped their scheduler byte. v6: RunSpec
 /// and SlackQueryMsg carry one scenario encoding, which gained the mode
-/// override and the process corner.
-inline constexpr std::uint32_t kProtocolVersion = 6;
+/// override and the process corner. v7: the durable-session surface is
+/// gone: the eco-resume request and reply, the eco_open token, the edit
+/// batch sequence number and the durability counters of stats and health.
+inline constexpr std::uint32_t kProtocolVersion = 7;
 /// Frame header size on the socket (payload length prefix).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
@@ -51,7 +53,7 @@ enum class MsgType : std::uint8_t {
   kGetStats = 10,
   kShutdown = 11,       ///< begin drain; listener closes first
   kHealth = 12,         ///< cheap load probe (answered on the event loop)
-  kEcoResume = 13,      ///< re-bind a durable session by resumption token
+  // 13 (v3–v6 eco-resume) is retired and stays unassigned.
 
   // Responses.
   kHelloOk = 64,
@@ -65,7 +67,7 @@ enum class MsgType : std::uint8_t {
   kStats = 72,
   kShutdownOk = 73,
   kHealthOk = 74,
-  kEcoResumed = 75,
+  // 75 (v3–v6 eco-resumed) is retired and stays unassigned.
   kError = 127,
 };
 
@@ -169,24 +171,7 @@ struct EcoOp {
 
 struct EcoEditMsg {
   std::uint32_t session_id = 0;
-  /// 1-based index of this batch in the session's edit history. The server
-  /// WAL-appends the batch *before* acking and dedupes replays: a batch with
-  /// batch_seq ≤ the session's applied_seq is acked without re-applying, so
-  /// a client retrying across a crash gets exactly-once application. 0 =
-  /// unsequenced (no dedupe; pre-v3 behavior).
-  std::uint64_t batch_seq = 0;
   std::vector<EcoOp> ops;
-
-  void encode(util::WireWriter& w) const;
-  bool decode(util::WireReader& r);
-};
-
-/// Re-bind a durable ECO session after a server restart (or a dropped
-/// connection) by the token eco_open returned. The server rebuilds the
-/// session from its WAL and answers with the new per-connection session id
-/// plus applied_seq — the client replays its journal from there.
-struct EcoResumeMsg {
-  std::uint64_t token = 0;
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);
@@ -210,22 +195,10 @@ struct SlackQueryMsg {
 // Response bodies
 // ---------------------------------------------------------------------------
 
-/// eco_open response: the per-connection session id plus a resumption token
-/// that survives both connection loss and server restart (v3). Token 0 means
-/// the server runs without a --state-dir (volatile sessions, v2 semantics).
+/// eco_open response: the per-connection session id. The session lives as
+/// long as the connection that opened it.
 struct EcoOpenedMsg {
   std::uint32_t session_id = 0;
-  std::uint64_t token = 0;
-
-  void encode(util::WireWriter& w) const;
-  bool decode(util::WireReader& r);
-};
-
-/// eco_resume response.
-struct EcoResumedMsg {
-  std::uint32_t session_id = 0;
-  std::uint64_t token = 0;
-  std::uint64_t applied_seq = 0;  ///< highest durable batch_seq
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);
@@ -334,12 +307,6 @@ struct StatsMsg {
   /// in production means clients are leaking sessions.
   std::uint64_t eco_sessions_reaped = 0;
   std::uint64_t connections_evicted = 0;  ///< stall/backpressure evictions
-  // Crash-only durability (v3). All zero on a volatile (no --state-dir)
-  // server.
-  std::uint64_t restart_generation = 0;  ///< 1 on first boot, +1 per restart
-  std::uint64_t snapshot_age_ms = 0;     ///< ms since the last snapshot write
-  std::uint64_t wal_records = 0;         ///< records in the WAL since compaction
-  std::uint64_t eco_sessions_resumed = 0;  ///< token re-binds served
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);
@@ -357,10 +324,6 @@ struct HealthMsg {
   bool clamping = false;               ///< queue_depth ≥ soft_queue_limit
   std::uint64_t eco_sessions_open = 0;
   std::uint64_t outbox_bytes = 0;  ///< responses buffered for slow readers
-  // Crash-only durability (v3); zero without --state-dir.
-  std::uint64_t restart_generation = 0;
-  std::uint64_t snapshot_age_ms = 0;
-  std::uint64_t wal_records = 0;
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);

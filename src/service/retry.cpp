@@ -132,43 +132,16 @@ bool ResilientClient::session_live(const EcoHandle& h) const {
 
 void ResilientClient::recover_session(EcoHandle& h) {
   const auto t0 = std::chrono::steady_clock::now();
-  bool resumed = false;
-  // Resume-first: the durable server may still hold the session (detached
-  // when the old connection died, or rebuilt from its WAL after a restart).
-  // A poisoned handle never resumes — the server-side state may carry a
-  // partially applied batch the journal does not, so only a fresh session
-  // is trustworthy.
-  if (h.token_ != 0 && !h.poisoned_) {
-    try {
-      const EcoResumedMsg r = client_->eco_resume(h.token_);
-      h.session_id_ = r.session_id;
-      // Replay only the suffix the server never acknowledged durably; the
-      // 1-based batch_seq keeps the replay exactly-once even if this path
-      // itself gets interrupted and retried.
-      for (std::size_t i = r.applied_seq; i < h.journal_.size(); ++i) {
-        client_->eco_edit(h.session_id_, h.journal_[i], i + 1);
-      }
-      resumed = true;
-    } catch (const ServiceError&) {
-      // Token unknown (reaped, closed, or the open's ack never made it) or
-      // still attached elsewhere: fall back to a fresh session below.
-    }
-  }
-  if (!resumed) {
-    const EcoOpenedMsg opened = client_->eco_open(h.spec_);
-    h.session_id_ = opened.session_id;
-    h.token_ = opened.token;
-    for (std::size_t i = 0; i < h.journal_.size(); ++i) {
-      client_->eco_edit(h.session_id_, h.journal_[i], i + 1);
-    }
+  // A poisoned session may hold a partially applied batch the journal does
+  // not, and a dead connection took its session with it: either way only a
+  // fresh session replaying the journal is trustworthy.
+  h.session_id_ = client_->eco_open(h.spec_).session_id;
+  for (const std::vector<EcoOp>& batch : h.journal_) {
+    client_->eco_edit(h.session_id_, batch);
   }
   h.epoch_ = epoch_;
   h.poisoned_ = false;
-  if (resumed) {
-    ++stats_.sessions_resumed;
-  } else {
-    ++stats_.sessions_recovered;
-  }
+  ++stats_.sessions_recovered;
   stats_.recovery_ms.push_back(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
@@ -180,9 +153,7 @@ EcoHandle ResilientClient::eco_open(const RunSpec& spec) {
   h.owner_ = this;
   h.spec_ = spec;
   with_retry([&] {
-    const EcoOpenedMsg opened = client_->eco_open(spec);
-    h.session_id_ = opened.session_id;
-    h.token_ = opened.token;
+    h.session_id_ = client_->eco_open(spec).session_id;
     h.epoch_ = epoch_;
     return 0;
   });
@@ -196,7 +167,6 @@ std::uint32_t EcoHandle::edit(const std::vector<EcoOp>& ops) {
   // server-side session, replaying the full journal (this batch included)
   // onto a fresh session reconstructs exactly the acknowledged state.
   journal_.push_back(ops);
-  const std::uint64_t batch_seq = journal_.size();  // 1-based batch index
   try {
     return c.with_retry([&]() -> std::uint32_t {
       if (!c.session_live(*this)) {
@@ -204,7 +174,7 @@ std::uint32_t EcoHandle::edit(const std::vector<EcoOp>& ops) {
         c.recover_session(*this);
         return static_cast<std::uint32_t>(ops.size());
       }
-      return c.client_->eco_edit(session_id_, ops, batch_seq);
+      return c.client_->eco_edit(session_id_, ops);
     });
   } catch (const ServiceError&) {
     // Semantic rejection: the server may hold a PARTIALLY applied batch

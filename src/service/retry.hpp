@@ -11,17 +11,10 @@
 //
 //   * ECO sessions are NOT idempotent on the wire — but they are
 //     *reconstructible*. The handle journals every accepted edit batch
-//     client-side. Against a durable server (--state-dir) recovery is
-//     resume-first: the handle presents the resumption token eco_open
-//     returned, the (possibly restarted) server re-binds the session it
-//     rebuilt from its WAL, reports applied_seq, and the handle replays
-//     only the journal suffix past it — batch_seq sequencing makes the
-//     replay exactly-once even when the ack (not the batch) was what the
-//     crash destroyed. When resume is refused (volatile server, reaped
-//     token, poisoned handle) recovery falls back to the PR 8 path: open a
-//     fresh COW session and replay the full journal. Either way the
-//     recovered session is bitwise identical to an uninterrupted one
-//     (PR 2's incremental-vs-scratch oracle).
+//     client-side. A lost connection always destroys its server-side
+//     sessions, so recovery opens a fresh COW session and replays the full
+//     journal. The recovered session is bitwise identical to an
+//     uninterrupted one (the incremental-vs-scratch oracle).
 //
 //   * ServiceError (a typed protocol error) is never retried — the request
 //     failed for a reason retrying cannot fix — with one wrinkle: a
@@ -68,7 +61,6 @@ struct ResilienceStats {
   std::uint64_t retries = 0;     ///< attempts that were repeats
   std::uint64_t reconnects = 0;  ///< sockets (re-)established
   std::uint64_t sessions_recovered = 0;  ///< full ECO journal replays
-  std::uint64_t sessions_resumed = 0;    ///< token resumes (suffix replays)
   std::vector<double> recovery_ms;       ///< wall time of each recovery
 };
 
@@ -87,8 +79,6 @@ class EcoHandle {
   bool open() const { return owner_ != nullptr; }
   /// Batches journaled so far (accepted edits only).
   std::size_t journal_size() const { return journal_.size(); }
-  /// Durable resumption token (0 against a volatile server).
-  std::uint64_t token() const { return token_; }
 
   /// Apply one edit batch; journals it on success. Throws ServiceError on
   /// semantic rejection (batch dropped from the journal, session rebuilt on
@@ -108,8 +98,6 @@ class EcoHandle {
   RunSpec spec_;
   std::vector<std::vector<EcoOp>> journal_;
   std::uint32_t session_id_ = 0;
-  /// Durable resumption token from eco_open (0 on a volatile server).
-  std::uint64_t token_ = 0;
   /// Connection epoch the server-side session lives on; a reconnect bumps
   /// the client epoch, implicitly invalidating every handle.
   std::uint64_t epoch_ = 0;
@@ -160,9 +148,8 @@ class ResilientClient {
   /// True when the handle's server-side session is live on the current
   /// connection and not poisoned.
   bool session_live(const EcoHandle& h) const;
-  /// Rebuild the server-side session: token resume + suffix replay when the
-  /// server still holds the durable record, else fresh open + full journal
-  /// replay (timed; counted per path).
+  /// Rebuild the server-side session: fresh open + full journal replay
+  /// (timed and counted).
   void recover_session(EcoHandle& h);
 
   std::uint16_t port_;

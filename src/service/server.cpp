@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <poll.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 #include <utility>
 
 #include "util/diag.hpp"
-#include "util/persist.hpp"
 
 namespace xtalk::service {
 
@@ -32,8 +30,6 @@ std::uint32_t frame_length(const std::uint8_t* p) {
 }
 
 /// Apply one validated ECO op to the editor; throws on editor rejection.
-/// Shared by the edit handler and the resume-replay path, so a replayed
-/// session is rebuilt by exactly the code that built it the first time.
 void apply_eco_op(sta::incremental::DesignEditor& editor, const EcoOp& op) {
   switch (op.kind) {
     case EcoOp::Kind::kResizeGate:
@@ -72,7 +68,6 @@ void XtalkServer::start() {
   // A dead client must never kill the process: writes race peer closes by
   // design (MSG_NOSIGNAL covers sockets, this covers everything else).
   std::signal(SIGPIPE, SIG_IGN);
-  setup_durability();
   listener_ = config_.unix_path.empty()
                   ? util::Listener::tcp_loopback(config_.tcp_port)
                   : util::Listener::unix_domain(config_.unix_path);
@@ -128,77 +123,6 @@ void XtalkServer::stop() {
   join();
 }
 
-void XtalkServer::setup_durability() {
-  if (!durable()) return;
-  // Best-effort create; an unusable dir surfaces as kIoError below.
-  ::mkdir(config_.state_dir.c_str(), 0755);
-
-  // Restart generation: load, bump, store. Tokens embed the generation, so
-  // a token minted before any number of restarts can never collide with a
-  // fresh one.
-  const std::string gen_path = config_.state_dir + "/generation.snap";
-  std::vector<std::uint8_t> payload;
-  std::string error;
-  std::uint64_t gen = 0;
-  if (util::load_snapshot(gen_path, kSnapKindGeneration, kSnapVersion,
-                          &payload, &error) == util::PersistStatus::kOk) {
-    util::WireReader r(payload);
-    if (!r.u64(&gen) || !r.finish()) gen = 0;
-  }
-  restart_generation_ = gen + 1;
-  util::WireWriter w;
-  w.u64(restart_generation_);
-  util::save_snapshot(gen_path, kSnapKindGeneration, kSnapVersion, w.data(),
-                      &error, config_.state_fsync);
-
-  // Replay the session WAL: every session the previous generation had
-  // acknowledged comes back, detached, resumable by token. A torn tail is
-  // the expected crash shape (truncated); full corruption degrades to a
-  // cold start rather than refusing to serve.
-  const util::WalReplay replay = util::replay_wal(wal_path());
-  if (replay.status == util::PersistStatus::kOk) {
-    durable_ = fold_session_wal(replay.records);
-  }
-  const auto now = std::chrono::steady_clock::now();
-  for (const auto& [token, rec] : durable_) detached_.emplace(token, now);
-
-  // Compact at boot: the rewritten log carries exactly the live sessions,
-  // dropping closed-session records and any torn tail physically.
-  compact_wal_locked();
-
-  // Re-warm the memoized baselines (and keep snapshotting them from here).
-  design_.enable_persistence(config_.state_dir, config_.state_fsync);
-}
-
-std::uint64_t XtalkServer::make_token_locked() {
-  return (restart_generation_ << 32) | ++token_seq_;
-}
-
-void XtalkServer::maybe_compact_locked() {
-  const std::uint64_t records = wal_records_.load(std::memory_order_relaxed);
-  std::uint64_t live = 0;
-  for (const auto& [token, rec] : durable_) live += 1 + rec.batches.size();
-  // Compact when the log is mostly dead weight: either every session closed
-  // (truncate to empty) or the record count is far past what the live set
-  // needs. The +64 floor keeps steady-state churn from compacting per close.
-  const bool all_closed = durable_.empty() && records > 0;
-  if (!all_closed && records <= 2 * live + 64) return;
-  compact_wal_locked();
-}
-
-void XtalkServer::compact_wal_locked() {
-  std::string error;
-  wal_.close();
-  const std::vector<util::WalRecord> records = compact_session_wal(durable_);
-  util::WalWriter::rewrite(wal_path(), records, config_.state_fsync, &error);
-  // Reopen for appends at the end of whatever is actually on disk (the
-  // rewrite may have failed; appending after a replayed valid prefix is
-  // correct either way).
-  const util::WalReplay replay = util::replay_wal(wal_path());
-  wal_.open(wal_path(), replay.valid_bytes, config_.state_fsync, &error);
-  wal_records_.store(replay.records.size(), std::memory_order_relaxed);
-}
-
 StatsMsg XtalkServer::stats_snapshot() const {
   StatsMsg s;
   s.requests_total = requests_total_.load(std::memory_order_relaxed);
@@ -217,10 +141,6 @@ StatsMsg XtalkServer::stats_snapshot() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_time_)
           .count();
-  s.restart_generation = restart_generation_;
-  s.snapshot_age_ms = design_.snapshot_age_ms();
-  s.wal_records = wal_records_.load(std::memory_order_relaxed);
-  s.eco_sessions_resumed = eco_resumed_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -235,7 +155,7 @@ void XtalkServer::event_loop() {
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (stopping && listener_.valid()) {
       // Drain step 1: stop accepting BEFORE touching existing work, so a
-      // restarting supervisor can bind the successor socket while we finish.
+      // successor process can bind the socket while we finish.
       listener_.close();
     }
 
@@ -264,8 +184,6 @@ void XtalkServer::event_loop() {
       }
     }
     if (stopping && connections_.empty()) return;
-
-    reap_detached_sessions();
 
     fds.clear();
     polled.clear();
@@ -432,9 +350,6 @@ void XtalkServer::respond_health(const std::shared_ptr<Connection>& conn,
   m.clamping = m.soft_queue_limit > 0 && depth >= m.soft_queue_limit;
   m.eco_sessions_open = eco_open_.load(std::memory_order_relaxed);
   m.outbox_bytes = outbox;
-  m.restart_generation = restart_generation_;
-  m.snapshot_age_ms = design_.snapshot_age_ms();
-  m.wal_records = wal_records_.load(std::memory_order_relaxed);
   util::WireWriter body;
   m.encode(body);
   respond(*conn, MsgType::kHealthOk, request_id, body);
@@ -516,56 +431,17 @@ bool XtalkServer::connection_stalled(const std::shared_ptr<Connection>& conn,
 }
 
 void XtalkServer::reap_connection_sessions(Connection& conn) {
-  // Volatile server: the connection owns its ECO sessions; when it dies
-  // before kEcoClose the sessions die with it (the recovery contract clients
-  // rely on: a lost connection always means a lost session, so journal
-  // replay onto a fresh session can never double-apply edits). Durable
-  // server: the live engine object still dies, but the WAL record detaches
-  // instead — resumable by token until the linger expires, exactly-once
-  // guaranteed by batch_seq dedupe rather than by session loss. Only runs
-  // once the connection is drained (not busy), so the pinned executor is
-  // done touching conn.eco.
+  // The connection owns its ECO sessions; when it dies before kEcoClose the
+  // sessions die with it. That is the recovery contract clients rely on: a
+  // lost connection always means a lost session, so journal replay onto a
+  // fresh session can never double-apply edits. Only runs once the
+  // connection is drained (not busy), so the pinned executor is done
+  // touching conn.eco.
   const std::uint64_t orphans = static_cast<std::uint64_t>(conn.eco.size());
   if (orphans == 0) return;
-  if (durable()) {
-    const auto now = std::chrono::steady_clock::now();
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    for (const auto& [id, session] : conn.eco) {
-      if (session->token != 0 && durable_.count(session->token) != 0) {
-        detached_.emplace(session->token, now);
-      }
-    }
-    conn.eco.clear();
-    eco_open_.fetch_sub(orphans, std::memory_order_relaxed);
-    return;  // reaped counts when the linger expires, not at detach
-  }
   conn.eco.clear();
   eco_open_.fetch_sub(orphans, std::memory_order_relaxed);
   eco_reaped_.fetch_add(orphans, std::memory_order_relaxed);
-}
-
-void XtalkServer::reap_detached_sessions() {
-  if (!durable()) return;
-  const auto now = std::chrono::steady_clock::now();
-  const auto linger = std::chrono::milliseconds(
-      config_.detached_linger_ms < 0 ? 0 : config_.detached_linger_ms);
-  std::lock_guard<std::mutex> lock(durable_mutex_);
-  bool changed = false;
-  for (auto it = detached_.begin(); it != detached_.end();) {
-    if (now - it->second < linger) {
-      ++it;
-      continue;
-    }
-    std::string error;
-    wal_.append(static_cast<std::uint16_t>(WalRecordType::kSessionClose),
-                encode_wal_close(it->first), &error);
-    wal_records_.fetch_add(1, std::memory_order_relaxed);
-    durable_.erase(it->first);
-    it = detached_.erase(it);
-    eco_reaped_.fetch_add(1, std::memory_order_relaxed);
-    changed = true;
-  }
-  if (changed) maybe_compact_locked();
 }
 
 bool XtalkServer::connection_drained(const std::shared_ptr<Connection>& conn) {
@@ -687,9 +563,6 @@ void XtalkServer::handle_request(Executor& ex, const Request& req,
         return;
       case MsgType::kEcoEdit:
         handle_eco_edit(conn, request_id, r);
-        return;
-      case MsgType::kEcoResume:
-        handle_eco_resume(ex, conn, request_id, r);
         return;
       case MsgType::kEcoRun:
         handle_eco_run(ex, conn, request_id, r, queue_depth);
@@ -839,102 +712,14 @@ void XtalkServer::handle_eco_open(Executor& ex, Connection& conn,
   }
   auto session =
       std::make_unique<EcoSession>(design_, spec, ex.pool.get(), &ex.cancel);
-  if (durable()) {
-    // Ack-implies-durable: the open record is on disk (fsynced) before the
-    // EcoOpened frame exists. A WAL failure means no session — the client
-    // gets a typed error instead of a session that would silently vanish.
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    const std::uint64_t token = make_token_locked();
-    std::string error;
-    if (wal_.append(static_cast<std::uint16_t>(WalRecordType::kSessionOpen),
-                    encode_wal_open(token, spec),
-                    &error) != util::PersistStatus::kOk) {
-      respond_error(conn, request_id, ErrorCode::kInternal,
-                    "session WAL append failed: " + error);
-      return;
-    }
-    wal_records_.fetch_add(1, std::memory_order_relaxed);
-    SessionRecord rec;
-    rec.token = token;
-    rec.spec = spec;
-    durable_.emplace(token, std::move(rec));
-    session->token = token;
-  }
   const std::uint32_t id = conn.next_eco_id++;
   EcoOpenedMsg opened;
   opened.session_id = id;
-  opened.token = session->token;
   conn.eco.emplace(id, std::move(session));
   eco_open_.fetch_add(1, std::memory_order_relaxed);
   util::WireWriter body;
   opened.encode(body);
   respond(conn, MsgType::kEcoOpened, request_id, body);
-  requests_ok_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void XtalkServer::handle_eco_resume(Executor& ex, Connection& conn,
-                                    std::uint32_t request_id,
-                                    util::WireReader& r) {
-  EcoResumeMsg msg;
-  if (!msg.decode(r) || !r.finish()) {
-    respond_error(conn, request_id, ErrorCode::kMalformedFrame, r.error());
-    return;
-  }
-  if (!durable()) {
-    respond_error(conn, request_id, ErrorCode::kBadRequest,
-                  "server runs without --state-dir; sessions are volatile");
-    return;
-  }
-  SessionRecord rec;
-  {
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    auto it = durable_.find(msg.token);
-    if (it == durable_.end()) {
-      respond_error(conn, request_id, ErrorCode::kUnknownSession,
-                    "no durable session for this token (closed, reaped, or "
-                    "never acknowledged)");
-      return;
-    }
-    if (detached_.erase(msg.token) == 0) {
-      // Still bound to a live connection (perhaps one whose death the event
-      // loop has not yet observed). Refusing keeps two connections from
-      // racing on one engine; the client falls back to a fresh session.
-      respond_error(conn, request_id, ErrorCode::kBadRequest,
-                    "session is attached to a live connection");
-      return;
-    }
-    rec = it->second;  // replay from a copy, outside the lock
-  }
-  // Rebuild the live engine by deterministic replay of acknowledged batches
-  // — the server-side mirror of the client's journal replay.
-  auto session =
-      std::make_unique<EcoSession>(design_, rec.spec, ex.pool.get(), &ex.cancel);
-  try {
-    for (const std::vector<EcoOp>& batch : rec.batches) {
-      for (const EcoOp& op : batch) apply_eco_op(*session->editor, op);
-    }
-  } catch (const std::exception& e) {
-    // Acknowledged edits applied cleanly once; failing to re-apply means the
-    // design changed under us. Put the record back and report.
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    detached_.emplace(msg.token, std::chrono::steady_clock::now());
-    respond_error(conn, request_id, ErrorCode::kInternal,
-                  std::string("session replay failed: ") + e.what());
-    return;
-  }
-  session->token = msg.token;
-  session->applied_seq = rec.applied_seq;
-  const std::uint32_t id = conn.next_eco_id++;
-  EcoResumedMsg resumed;
-  resumed.session_id = id;
-  resumed.token = msg.token;
-  resumed.applied_seq = rec.applied_seq;
-  conn.eco.emplace(id, std::move(session));
-  eco_open_.fetch_add(1, std::memory_order_relaxed);
-  eco_resumed_.fetch_add(1, std::memory_order_relaxed);
-  util::WireWriter body;
-  resumed.encode(body);
-  respond(conn, MsgType::kEcoResumed, request_id, body);
   requests_ok_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -952,26 +737,7 @@ void XtalkServer::handle_eco_edit(Connection& conn, std::uint32_t request_id,
                       " is not open on this connection");
     return;
   }
-  EcoSession& session = *it->second;
-  if (msg.batch_seq != 0) {
-    if (msg.batch_seq <= session.applied_seq) {
-      // A replayed batch the session already holds (the ack was lost, not
-      // the append): acknowledge without re-applying — exactly-once.
-      util::WireWriter body;
-      body.u32(static_cast<std::uint32_t>(msg.ops.size()));
-      respond(conn, MsgType::kEcoEditOk, request_id, body);
-      requests_ok_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (msg.batch_seq != session.applied_seq + 1) {
-      respond_error(conn, request_id, ErrorCode::kBadRequest,
-                    "batch_seq " + std::to_string(msg.batch_seq) +
-                        " skips ahead of applied_seq " +
-                        std::to_string(session.applied_seq));
-      return;
-    }
-  }
-  sta::incremental::DesignEditor& editor = *session.editor;
+  sta::incremental::DesignEditor& editor = *it->second->editor;
   const std::size_t num_gates = editor.netlist().num_gates();
   const std::size_t num_nets = editor.netlist().num_nets();
   std::uint32_t applied = 0;
@@ -1004,34 +770,6 @@ void XtalkServer::handle_eco_edit(Connection& conn, std::uint32_t request_id,
     }
     ++applied;
   }
-  const std::uint64_t seq =
-      msg.batch_seq != 0 ? msg.batch_seq : session.applied_seq + 1;
-  if (durable() && session.token != 0) {
-    // Ack-implies-durable: the batch is WAL-appended and fsynced BEFORE the
-    // ack frame exists. On append failure the client gets kInternal — its
-    // retry layer poisons the handle and rebuilds from its own journal, so
-    // server memory holding an unacknowledged batch is harmless.
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    std::string error;
-    if (wal_.append(static_cast<std::uint16_t>(WalRecordType::kSessionEdit),
-                    encode_wal_edit(session.token, seq, msg.ops),
-                    &error) != util::PersistStatus::kOk) {
-      respond_error(conn, request_id, ErrorCode::kInternal,
-                    "session WAL append failed: " + error);
-      return;
-    }
-    wal_records_.fetch_add(1, std::memory_order_relaxed);
-    auto dit = durable_.find(session.token);
-    if (dit != durable_.end()) {
-      dit->second.batches.push_back(msg.ops);
-      dit->second.applied_seq = seq;
-    }
-  }
-  session.applied_seq = seq;
-  // Seeded kill site: durable but unacknowledged. The client never saw an
-  // ack, yet after restart+resume the batch is there — its sequenced replay
-  // dedupes instead of double-applying.
-  util::crash_point_hit(util::CrashPoint::kWalAfterAppend);
   util::WireWriter body;
   body.u32(applied);
   respond(conn, MsgType::kEcoEditOk, request_id, body);
@@ -1062,10 +800,6 @@ void XtalkServer::handle_eco_run(Executor& ex, Connection& conn,
   admission_.admit(queue_depth, config_.default_budget, &budget);
   if (!stopping_.load(std::memory_order_acquire)) ex.cancel.reset();
   session.sta->set_budget(budget);
-  // Seeded kill site: death mid-serve of a re-timing run. No durability
-  // boundary is involved — the invariant is purely that acknowledged edits
-  // survive and the re-run after restart matches the oracle bitwise.
-  util::crash_point_hit(util::CrashPoint::kEcoRunMid);
   const sta::StaResult result = session.sta->run();
   RunResultMsg m = RunResultMsg::from_result(result);
   m.gates_reused = session.sta->stats().gates_reused;
@@ -1091,18 +825,7 @@ void XtalkServer::handle_eco_close(Connection& conn, std::uint32_t request_id,
                       " is not open on this connection");
     return;
   }
-  const std::uint64_t token = it->second->token;
   conn.eco.erase(it);
-  if (durable() && token != 0) {
-    std::lock_guard<std::mutex> lock(durable_mutex_);
-    std::string error;
-    wal_.append(static_cast<std::uint16_t>(WalRecordType::kSessionClose),
-                encode_wal_close(token), &error);
-    wal_records_.fetch_add(1, std::memory_order_relaxed);
-    durable_.erase(token);
-    detached_.erase(token);
-    maybe_compact_locked();
-  }
   eco_open_.fetch_sub(1, std::memory_order_relaxed);
   respond(conn, MsgType::kEcoClosed, request_id, util::WireWriter{});
   requests_ok_.fetch_add(1, std::memory_order_relaxed);

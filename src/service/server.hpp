@@ -79,16 +79,6 @@ struct ServiceConfig {
   /// least this many unsent bytes (resumes when the peer drains it). Bounds
   /// per-connection memory against a pipelining-but-never-reading client.
   std::size_t max_outbox_bytes = 8u << 20;
-  /// Crash-only durability: directory for snapshots + the session WAL.
-  /// Empty = volatile server (pre-v3 semantics: ECO sessions die with their
-  /// connection and a process crash loses everything).
-  std::string state_dir;
-  /// fsync snapshots and WAL appends (ack-implies-durable). Disable only in
-  /// tests where the state dir lives on tmpfs anyway.
-  bool state_fsync = true;
-  /// How long a detached durable session (its connection died) stays
-  /// resumable by token before it is reaped and WAL-closed. 0 = immediately.
-  int detached_linger_ms = 30000;
   /// Optional readable-means-stop fd polled by the event loop (the write
   /// end lives in an async-signal-safe self-pipe signal handler). -1 = off.
   int stop_event_fd = -1;
@@ -186,11 +176,8 @@ class XtalkServer {
   /// the probe stays responsive while every executor is busy).
   void respond_health(const std::shared_ptr<Connection>& conn,
                       const std::vector<std::uint8_t>& payload);
-  /// Account for the ECO sessions of a dying connection: dropped outright on
-  /// a volatile server, detached (resumable by token) on a durable one.
+  /// Drop the ECO sessions of a dying connection.
   void reap_connection_sessions(Connection& conn);
-  /// Reap detached durable sessions whose linger expired (event loop).
-  void reap_detached_sessions();
 
   // Executor helpers. All run on the connection's pinned executor.
   void handle_request(Executor& ex, const Request& req,
@@ -210,25 +197,11 @@ class XtalkServer {
                        std::uint32_t request_id, util::WireReader& r);
   void handle_eco_edit(Connection& conn, std::uint32_t request_id,
                        util::WireReader& r);
-  void handle_eco_resume(Executor& ex, Connection& conn,
-                         std::uint32_t request_id, util::WireReader& r);
   void handle_eco_run(Executor& ex, Connection& conn,
                       std::uint32_t request_id, util::WireReader& r,
                       std::size_t queue_depth);
   void handle_eco_close(Connection& conn, std::uint32_t request_id,
                         util::WireReader& r);
-
-  // Durability helpers (no-ops on a volatile server).
-  bool durable() const { return !config_.state_dir.empty(); }
-  std::string wal_path() const { return config_.state_dir + "/sessions.wal"; }
-  /// Load the restart generation, replay + compact the session WAL, warm
-  /// the baseline cache. Runs in start() before any thread exists.
-  void setup_durability();
-  std::uint64_t make_token_locked();
-  /// Compact when the WAL carries mostly dead records. Caller holds
-  /// durable_mutex_.
-  void maybe_compact_locked();
-  void compact_wal_locked();
 
   DesignSession& design_;
   ServiceConfig config_;
@@ -262,21 +235,6 @@ class XtalkServer {
   std::atomic<std::uint64_t> connections_total_{0};
   std::atomic<std::uint64_t> bytes_in_{0};
   std::atomic<std::uint64_t> bytes_out_{0};
-
-  // Durable session state. Guarded by durable_mutex_ (executors append to
-  // the WAL, the event loop reaps detached sessions). The WAL append under
-  // this mutex is the ack-implies-durable serialization point: nothing is
-  // ever written to a connection before its record is on disk.
-  std::mutex durable_mutex_;
-  std::map<std::uint64_t, SessionRecord> durable_;  ///< token → record
-  /// Tokens whose connection died, with the detach time; a token absent
-  /// here but present in durable_ is attached to a live connection.
-  std::map<std::uint64_t, std::chrono::steady_clock::time_point> detached_;
-  util::WalWriter wal_;
-  std::uint64_t token_seq_ = 0;
-  std::uint64_t restart_generation_ = 0;
-  std::atomic<std::uint64_t> wal_records_{0};
-  std::atomic<std::uint64_t> eco_resumed_{0};
 };
 
 }  // namespace xtalk::service

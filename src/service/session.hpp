@@ -16,7 +16,6 @@
 // cached spec are a lock + shared_ptr copy.
 #pragma once
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,21 +26,8 @@
 #include "service/protocol.hpp"
 #include "sta/incremental/incremental_sta.hpp"
 #include "sta/scenario.hpp"
-#include "util/persist.hpp"
 
 namespace xtalk::service {
-
-// Snapshot kinds under --state-dir (util::persist snapshot headers).
-inline constexpr std::uint16_t kSnapKindGeneration = 1;  ///< u64 restart gen
-inline constexpr std::uint16_t kSnapKindBaselines = 2;   ///< memoized RunSpecs
-inline constexpr std::uint16_t kSnapKindDesign = 3;      ///< design recipe
-/// v2: RunSpec gained the MCMM scenario identity (name, vdd_scale,
-/// temperature, coupling derate). v3: RunSpec lost its scheduler byte.
-/// v4: RunSpec's scenario gained the mode override and the process corner.
-/// Each changes the encoded baseline/WAL-open payloads; older state files
-/// load as kVersionSkew and the server starts cold — never a half-decoded
-/// spec.
-inline constexpr std::uint16_t kSnapVersion = 4;
 
 class DesignSession {
  public:
@@ -70,20 +56,7 @@ class DesignSession {
   /// Number of cached corner contexts (observability).
   std::size_t corners_cached() const;
 
-  /// Crash-only durability: snapshot the set of memoized baseline specs to
-  /// `<state_dir>/baselines.snap` on every cache fill, and — right now —
-  /// re-warm every spec found in an existing snapshot. Results are not
-  /// stored byte-for-byte: the engine is bitwise deterministic, so replaying
-  /// the spec reproduces the exact result, and a restarted server answers
-  /// queries warm instead of cold.
-  void enable_persistence(const std::string& state_dir, bool do_fsync);
-
-  /// Milliseconds since the baseline snapshot was last written (0 when
-  /// persistence is off or nothing has been snapshotted yet).
-  std::uint64_t snapshot_age_ms() const;
-
  private:
-  void persist_baselines_locked();
   std::shared_ptr<const sta::ScenarioContext> corner_locked(
       const RunSpec& spec);
 
@@ -91,14 +64,10 @@ class DesignSession {
   std::string name_;
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const sta::StaResult>> baselines_;
-  std::map<std::string, RunSpec> baseline_specs_;  ///< cache_key → spec
   /// Corner contexts keyed on (corner, needs-NLDM); immutable once built.
   std::map<std::pair<sta::CornerKey, bool>,
            std::shared_ptr<const sta::ScenarioContext>>
       corners_;
-  std::string snapshot_path_;  ///< empty = persistence off
-  bool fsync_ = true;
-  std::atomic<std::int64_t> last_snapshot_steady_ms_{-1};
 };
 
 /// One client ECO session: a COW editor over the shared base plus the
@@ -115,49 +84,6 @@ struct EcoSession {
   std::shared_ptr<const sta::ScenarioContext> corner;
   std::unique_ptr<sta::incremental::DesignEditor> editor;
   std::unique_ptr<sta::incremental::IncrementalSta> sta;
-  /// Durable identity (0 on a volatile server): survives connection loss
-  /// and server restart; clients re-bind with kEcoResume.
-  std::uint64_t token = 0;
-  /// Highest acknowledged (WAL-durable) batch_seq.
-  std::uint64_t applied_seq = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Server-side session WAL records
-// ---------------------------------------------------------------------------
-
-/// Record types in `<state_dir>/sessions.wal`. Append only.
-enum class WalRecordType : std::uint16_t {
-  kSessionOpen = 1,   ///< u64 token + RunSpec
-  kSessionEdit = 2,   ///< u64 token + u64 batch_seq + EcoOp array
-  kSessionClose = 3,  ///< u64 token
-};
-
-/// The durable mirror of one ECO session: everything needed to rebuild the
-/// live COW editor + incremental engine by deterministic replay.
-struct SessionRecord {
-  std::uint64_t token = 0;
-  RunSpec spec;
-  std::vector<std::vector<EcoOp>> batches;  ///< batch i carries seq i+1
-  std::uint64_t applied_seq = 0;            ///< == batches.size()
-};
-
-std::vector<std::uint8_t> encode_wal_open(std::uint64_t token,
-                                          const RunSpec& spec);
-std::vector<std::uint8_t> encode_wal_edit(std::uint64_t token,
-                                          std::uint64_t batch_seq,
-                                          const std::vector<EcoOp>& ops);
-std::vector<std::uint8_t> encode_wal_close(std::uint64_t token);
-
-/// Fold replayed WAL records into the live session set (open starts a
-/// record, edits accumulate, close erases). Records that fail to decode are
-/// skipped — a hostile or skewed state file degrades to fewer sessions,
-/// never to wrong ones.
-std::map<std::uint64_t, SessionRecord> fold_session_wal(
-    const std::vector<util::WalRecord>& records);
-
-/// Re-encode the live set as a minimal record list (compaction).
-std::vector<util::WalRecord> compact_session_wal(
-    const std::map<std::uint64_t, SessionRecord>& live);
 
 }  // namespace xtalk::service

@@ -109,10 +109,7 @@ int run_command(Client& client, const std::string& command,
               << h.soft_queue_limit
               << (h.clamping ? " (clamping budgets)" : "") << "\n"
               << "eco sessions open: " << h.eco_sessions_open
-              << ", outbox backlog: " << h.outbox_bytes << " bytes\n"
-              << "durability: generation " << h.restart_generation
-              << ", snapshot age " << h.snapshot_age_ms << " ms, WAL records "
-              << h.wal_records << "\n";
+              << ", outbox backlog: " << h.outbox_bytes << " bytes\n";
   } else if (command == "stats") {
     const service::StatsMsg s = get_stats(client);
     std::cout << "requests: " << s.requests_total << " total, "
@@ -125,11 +122,7 @@ int run_command(Client& client, const std::string& command,
               << ")\n"
               << "bytes in/out: " << s.bytes_in << "/" << s.bytes_out
               << ", queue peak: " << s.queue_peak << ", uptime: "
-              << s.uptime_seconds << " s\n"
-              << "durability: generation " << s.restart_generation
-              << ", snapshot age " << s.snapshot_age_ms << " ms, WAL records "
-              << s.wal_records << ", sessions resumed "
-              << s.eco_sessions_resumed << "\n";
+              << s.uptime_seconds << " s\n";
   } else if (command == "shutdown") {
     do_shutdown(client);
     std::cout << "server draining\n";

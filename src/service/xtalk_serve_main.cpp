@@ -2,29 +2,21 @@
 //
 //   xtalk_serve --socket /tmp/xtalk.sock --preset s38417
 //   xtalk_serve --tcp-port 7380 --bench design.bench --executors 4
-//   xtalk_serve --tcp-port 7380 --state-dir /var/lib/xtalk --supervise
 //
 // Loads the design ONCE (netlist -> placement -> routing -> extraction ->
 // levelization), then serves analysis requests over the binary protocol
 // until SIGTERM/SIGINT (graceful drain: listener closes first, received
 // requests finish, connections flush) or a client kShutdown.
 //
-// Crash-only mode (--state-dir): the server journals every acknowledged ECO
-// edit to a WAL and snapshots its memoized baselines, so a kill -9 loses
-// nothing a client was told was applied. --supervise adds a tiny parent
-// process whose only job is restarting the server with capped exponential
-// backoff when it dies abnormally; recovery is just the normal cold-start
-// path (replay WAL, re-warm baselines), per the crash-only contract.
+// The server holds no state on disk: ECO sessions live as long as their
+// connection, and a client recovers a lost session by replaying its own
+// edit journal onto a fresh one (service/retry.hpp).
 //
 // Signals are handled async-signal-safely via a self-pipe: handlers only
-// write() one byte; the event loop (or the supervisor's poll) reads it and
-// does the actual work on a normal thread.
+// write() one byte; the event loop reads it and does the actual work on a
+// normal thread.
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -38,24 +30,16 @@
 #include "core/crosstalk_sta.hpp"
 #include "netlist/circuit_generator.hpp"
 #include "service/server.hpp"
-#include "util/persist.hpp"
-#include "util/wire.hpp"
 
 namespace {
 
-// Self-pipe shared by the signal handlers. Handlers do nothing but write one
-// tag byte ('t' = terminate, 'c' = child state change); everything else —
-// draining the server, reaping the child — happens outside signal context.
+// Self-pipe of the stop signals. Handlers do nothing but write one byte;
+// draining the server happens outside signal context.
 int g_stop_pipe[2] = {-1, -1};
 
 void on_stop_signal(int) {
   const char tag = 't';
   // The pipe is non-blocking; if it is full a stop byte is already pending.
-  [[maybe_unused]] ssize_t n = ::write(g_stop_pipe[1], &tag, 1);
-}
-
-void on_sigchld(int) {
-  const char tag = 'c';
   [[maybe_unused]] ssize_t n = ::write(g_stop_pipe[1], &tag, 1);
 }
 
@@ -72,29 +56,6 @@ void close_stop_pipe() {
   for (int& fd : g_stop_pipe) {
     if (fd >= 0) ::close(fd);
     fd = -1;
-  }
-}
-
-/// Drain the pipe completely. Returns the tags seen.
-struct StopPipeTags {
-  bool stop = false;
-  bool child = false;
-};
-
-StopPipeTags drain_stop_pipe() {
-  StopPipeTags tags;
-  char buf[64];
-  for (;;) {
-    const ssize_t got = ::read(g_stop_pipe[0], buf, sizeof buf);
-    if (got > 0) {
-      for (ssize_t i = 0; i < got; ++i) {
-        if (buf[i] == 't') tags.stop = true;
-        if (buf[i] == 'c') tags.child = true;
-      }
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    return tags;  // EAGAIN (empty) or EOF
   }
 }
 
@@ -122,59 +83,7 @@ void usage() {
          "                      (default 5000)\n"
          "  --max-outbox-bytes N\n"
          "                      pause reading from a connection whose\n"
-         "                      response backlog exceeds N (default 8 MiB)\n"
-         "  --state-dir DIR     crash-only durability: snapshot + session\n"
-         "                      WAL directory; acknowledged ECO edits\n"
-         "                      survive restarts and sessions resume by\n"
-         "                      token (also remembers the design recipe)\n"
-         "  --no-fsync          skip fsync on snapshots/WAL appends (only\n"
-         "                      for tests whose state dir is tmpfs)\n"
-         "  --linger-ms N       keep a detached durable session resumable\n"
-         "                      for N ms before reaping it (default 30000)\n"
-         "  --supervise         run a supervisor parent that restarts the\n"
-         "                      server with capped exponential backoff when\n"
-         "                      it exits abnormally (pair with --state-dir)\n";
-}
-
-/// The design recipe persisted to state-dir/design.snap so a supervised
-/// restart (or a bare `xtalk_serve --state-dir DIR`) rebuilds the same
-/// design without repeating --preset/--bench.
-struct DesignRecipe {
-  std::uint8_t kind = 0;  ///< 0 = preset name, 1 = bench file path
-  std::string value;
-};
-
-std::string design_snap_path(const std::string& state_dir) {
-  return state_dir + "/design.snap";
-}
-
-void save_design_recipe(const std::string& state_dir,
-                        const DesignRecipe& recipe, bool do_fsync) {
-  xtalk::util::WireWriter w;
-  w.u8(recipe.kind);
-  w.str(recipe.value);
-  std::string error;
-  if (xtalk::util::save_snapshot(design_snap_path(state_dir),
-                                 xtalk::service::kSnapKindDesign,
-                                 xtalk::service::kSnapVersion, w.data(), &error,
-                                 do_fsync) != xtalk::util::PersistStatus::kOk) {
-    std::cerr << "xtalk_serve: warning: cannot persist design recipe: "
-              << error << "\n";
-  }
-}
-
-bool load_design_recipe(const std::string& state_dir, DesignRecipe* recipe) {
-  std::vector<std::uint8_t> payload;
-  std::string error;
-  if (xtalk::util::load_snapshot(design_snap_path(state_dir),
-                                 xtalk::service::kSnapKindDesign,
-                                 xtalk::service::kSnapVersion, &payload,
-                                 &error) != xtalk::util::PersistStatus::kOk) {
-    return false;
-  }
-  xtalk::util::WireReader r(payload);
-  return r.u8(&recipe->kind) && r.str(&recipe->value) && r.finish() &&
-         recipe->kind <= 1;
+         "                      response backlog exceeds N (default 8 MiB)\n";
 }
 
 /// Run the server to completion in this process. Installs self-pipe signal
@@ -205,146 +114,9 @@ int run_server(xtalk::core::Design&& design, const std::string& name,
   const service::StatsMsg s = server.stats_snapshot();
   std::cerr << "xtalk_serve: drained after " << s.requests_total
             << " requests (" << s.requests_truncated << " truncated, "
-            << s.requests_error << " errors";
-  if (!config.state_dir.empty()) {
-    std::cerr << "; generation " << s.restart_generation << ", "
-              << s.wal_records << " WAL records";
-  }
-  std::cerr << ")\n";
+            << s.requests_error << " errors)\n";
   close_stop_pipe();
   return 0;
-}
-
-/// Supervisor: fork the server as a child; restart it on abnormal exit with
-/// capped exponential backoff. The design is built once here and inherited
-/// copy-on-write by every child, so a restart never repeats the (expensive)
-/// build. A clean child exit (drain via SIGTERM or client kShutdown) ends
-/// the supervisor too — restarts are for crashes only.
-int supervise(xtalk::core::Design&& design, const std::string& name,
-              const xtalk::service::ServiceConfig& config) {
-  if (!make_stop_pipe()) {
-    std::cerr << "xtalk_serve: fatal: cannot create signal pipe: "
-              << std::strerror(errno) << "\n";
-    return 1;
-  }
-  std::signal(SIGTERM, on_stop_signal);
-  std::signal(SIGINT, on_stop_signal);
-  std::signal(SIGCHLD, on_sigchld);
-
-  constexpr int kBackoffBaseMs = 100;
-  constexpr int kBackoffCapMs = 5000;
-  constexpr std::int64_t kStableChildMs = 10000;
-
-  auto now_ms = [] {
-    struct timespec ts;
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::int64_t>(ts.tv_sec) * 1000 + ts.tv_nsec / 1000000;
-  };
-
-  auto spawn = [&]() -> pid_t {
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      // Child: shed the supervisor's pipe and handlers, then become the
-      // server (run_server installs its own pipe + handlers).
-      std::signal(SIGCHLD, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      std::signal(SIGINT, SIG_DFL);
-      close_stop_pipe();
-      const int rc = run_server(std::move(design), name, config);
-      std::_Exit(rc);
-    }
-    return pid;
-  };
-
-  auto wait_child = [](pid_t pid, int* status) -> pid_t {
-    for (;;) {
-      const pid_t got = ::waitpid(pid, status, 0);
-      if (got >= 0 || errno != EINTR) return got;
-    }
-  };
-
-  int backoff_ms = kBackoffBaseMs;
-  std::int64_t child_born_ms = now_ms();
-  pid_t child = spawn();
-  if (child < 0) {
-    std::cerr << "xtalk_serve: fatal: fork: " << std::strerror(errno) << "\n";
-    return 1;
-  }
-  std::cerr << "xtalk_serve: supervisor watching pid " << child << "\n";
-
-  for (;;) {
-    struct pollfd pfd = {g_stop_pipe[0], POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      std::cerr << "xtalk_serve: fatal: poll: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    const StopPipeTags tags = drain_stop_pipe();
-    if (tags.stop) {
-      // Pass the drain request down, wait for the child, exit cleanly.
-      if (child > 0) {
-        ::kill(child, SIGTERM);
-        int status = 0;
-        wait_child(child, &status);
-      }
-      std::cerr << "xtalk_serve: supervisor exiting (signal)\n";
-      return 0;
-    }
-    if (!tags.child) continue;
-    int status = 0;
-    const pid_t got = ::waitpid(child, &status, WNOHANG);
-    if (got <= 0) continue;  // spurious or already-reaped wakeup
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-      std::cerr << "xtalk_serve: server exited cleanly; supervisor done\n";
-      return 0;
-    }
-    if (WIFSIGNALED(status)) {
-      std::cerr << "xtalk_serve: server killed by signal " << WTERMSIG(status);
-    } else {
-      std::cerr << "xtalk_serve: server exited with status "
-                << WEXITSTATUS(status);
-    }
-    // Crash-only restart: a child that survived long enough resets the
-    // backoff (the crash is not a tight loop); otherwise back off harder.
-    const std::int64_t lived_ms = now_ms() - child_born_ms;
-    if (lived_ms >= kStableChildMs) {
-      backoff_ms = kBackoffBaseMs;
-    }
-    std::cerr << "; restarting in " << backoff_ms << " ms\n";
-    // Interruptible backoff: a SIGTERM during the wait still exits promptly.
-    const std::int64_t deadline = now_ms() + backoff_ms;
-    bool stopped = false;
-    for (;;) {
-      const std::int64_t left = deadline - now_ms();
-      if (left <= 0) break;
-      struct pollfd bp = {g_stop_pipe[0], POLLIN, 0};
-      const int brc = ::poll(&bp, 1, static_cast<int>(left));
-      if (brc < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (brc > 0 && drain_stop_pipe().stop) {
-        stopped = true;
-        break;
-      }
-    }
-    if (stopped) {
-      std::cerr << "xtalk_serve: supervisor exiting (signal)\n";
-      return 0;
-    }
-    backoff_ms = std::min(backoff_ms * 2, kBackoffCapMs);
-    child_born_ms = now_ms();
-    child = spawn();
-    if (child < 0) {
-      std::cerr << "xtalk_serve: fatal: fork: " << std::strerror(errno)
-                << "\n";
-      return 1;
-    }
-    std::cerr << "xtalk_serve: supervisor restarted server as pid " << child
-              << "\n";
-  }
 }
 
 }  // namespace
@@ -356,9 +128,7 @@ int main(int argc, char** argv) {
   bool use_tcp = false;
   std::uint16_t tcp_port = 0;
   std::string preset = "s38417";
-  bool preset_given = false;
   std::string bench_file;
-  bool supervise_mode = false;
   service::ServiceConfig config;
 
   for (int i = 1; i < argc; ++i) {
@@ -377,7 +147,6 @@ int main(int argc, char** argv) {
       tcp_port = static_cast<std::uint16_t>(std::stoul(value()));
     } else if (arg == "--preset") {
       preset = value();
-      preset_given = true;
     } else if (arg == "--bench") {
       bench_file = value();
     } else if (arg == "--executors") {
@@ -398,14 +167,6 @@ int main(int argc, char** argv) {
       config.drain_flush_timeout_ms = std::stoi(value());
     } else if (arg == "--max-outbox-bytes") {
       config.max_outbox_bytes = std::stoul(value());
-    } else if (arg == "--state-dir") {
-      config.state_dir = value();
-    } else if (arg == "--no-fsync") {
-      config.state_fsync = false;
-    } else if (arg == "--linger-ms") {
-      config.detached_linger_ms = std::stoi(value());
-    } else if (arg == "--supervise") {
-      supervise_mode = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -422,26 +183,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Resolve the design recipe. A state dir remembers the last recipe, so
-    // a supervised restart script needs only --state-dir; explicit
-    // --preset/--bench always wins and refreshes the stored recipe.
-    if (!config.state_dir.empty()) {
-      ::mkdir(config.state_dir.c_str(), 0755);  // EEXIST is fine
-      if (!preset_given && bench_file.empty()) {
-        DesignRecipe stored;
-        if (load_design_recipe(config.state_dir, &stored)) {
-          if (stored.kind == 1) {
-            bench_file = stored.value;
-          } else {
-            preset = stored.value;
-          }
-          std::cerr << "xtalk_serve: design recipe from state dir: "
-                    << (stored.kind == 1 ? "bench " : "preset ")
-                    << stored.value << "\n";
-        }
-      }
-    }
-
     std::string name;
     core::Design design = [&] {
       if (!bench_file.empty()) {
@@ -470,16 +211,6 @@ int main(int argc, char** argv) {
       return core::Design::generate(spec);
     }();
 
-    if (!config.state_dir.empty()) {
-      DesignRecipe recipe;
-      recipe.kind = bench_file.empty() ? 0 : 1;
-      recipe.value = bench_file.empty() ? preset : bench_file;
-      save_design_recipe(config.state_dir, recipe, config.state_fsync);
-    }
-
-    if (supervise_mode) {
-      return supervise(std::move(design), name, config);
-    }
     return run_server(std::move(design), name, config);
   } catch (const std::exception& e) {
     std::cerr << "xtalk_serve: fatal: " << e.what() << "\n";

@@ -27,7 +27,7 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
                           delaycalc::ArcDelayCalculator& calc,
                           const util::Pwl& sharp_rise,
                           const util::Pwl& sharp_fall, netlist::GateId g,
-                          EarlyTimes& early) {
+                          EarlyTimes& early, const util::DiagHandle* diag) {
   const netlist::Netlist& nl = *design.netlist;
   const device::Technology& tech = design.tables->tech();
   const netlist::Gate& gate = nl.gate(g);
@@ -35,6 +35,12 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
   const netlist::NetId out = gate.pin_nets[cell.output_pin()];
   early.rise[out] = kInf;
   early.fall[out] = kInf;
+  util::DiagHandle gate_diag;
+  if (diag != nullptr) {
+    gate_diag = *diag;
+    gate_diag.ctx.gate = static_cast<std::int64_t>(g);
+    gate_diag.ctx.net = static_cast<std::int64_t>(out);
+  }
 
   // Base load without any coupling capacitance: a same-direction
   // neighbour can cancel the charge through its own Cc, so dropping Cc
@@ -58,9 +64,18 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
       const util::Pwl& ramp = in_rising ? sharp_rise : sharp_fall;
       // Only the front and the first segment are read below, so the output
       // stage stops once past the threshold crossing.
-      delaycalc::ArcEvaluation arc(calc, cell, p, in_rising, ramp);
+      delaycalc::ArcEvaluation arc(calc, cell, p, in_rising, ramp, {},
+                                   nullptr,
+                                   diag != nullptr ? &gate_diag : nullptr);
       for (const delaycalc::ArcResult& r :
            arc.evaluate_to_threshold({base, 0.0})) {
+        double& slot = r.output_rising ? early.rise[out] : early.fall[out];
+        if (r.degraded) {
+          // The degrade margin shifted this waveform later: fall back to
+          // delay 0, the one lower bound that holds without the solve.
+          slot = std::min(slot, t_in);
+          continue;
+        }
         // The waveform starts at the model threshold: its front time is
         // the arc's threshold-to-threshold delay for this sharp input.
         double d = r.waveform.front().t;
@@ -73,7 +88,6 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
           if (slope > 0.0) d -= assist_dv / slope;
         }
         d = std::max(d, 0.0);
-        double& slot = r.output_rising ? early.rise[out] : early.fall[out];
         slot = std::min(slot, t_in + d);
       }
     }
@@ -82,7 +96,8 @@ void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
 
 EarlyTimes compute_early_activity(const DesignView& design,
                                   const EarlyOptions& options,
-                                  double coupling_derate) {
+                                  double coupling_derate,
+                                  const util::DiagHandle* diag) {
   const netlist::Netlist& nl = *design.netlist;
   const device::Technology& tech = design.tables->tech();
   delaycalc::ArcDelayCalculator calc(*design.tables);
@@ -103,7 +118,7 @@ EarlyTimes compute_early_activity(const DesignView& design,
   // composes to the same numbers in any topological order.
   for (const netlist::GateId g : design.dag->topo_order) {
     recompute_gate_early(design, options, coupling_derate, calc, sharp_rise,
-                         sharp_fall, g, early);
+                         sharp_fall, g, early, diag);
   }
   return early;
 }

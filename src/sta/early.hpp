@@ -13,7 +13,11 @@
 // delay: sharpest input ramp, no coupling capacitance in the load (a
 // same-direction neighbour can cancel its own coupling charge), and an
 // aiding-divider allowance subtracted (an opposite... same-direction
-// aggressor kick of dV can advance the crossing by up to dV / slope).
+// aggressor kick of dV can advance the crossing by up to dV / slope). An
+// arc whose solve took the fallback chain comes back *degraded*, shifted
+// later by the degrade margin; that is the unsafe direction for a lower
+// bound, so a degraded arc contributes delay 0 (its input's own early
+// time), which is always sound.
 #pragma once
 
 #include <vector>
@@ -37,10 +41,13 @@ struct EarlyTimes {
 /// (it is part of StaOptions). `coupling_derate` scales the coupling caps
 /// of the aiding-assist allowance; the engine passes
 /// StaOptions::coupling_derate so the bound sees the same effective caps as
-/// the classification it feeds.
+/// the classification it feeds. `diag`, if given, reports the arcs' solver
+/// fallbacks and arms its fault injector, with each gate's context filled
+/// in; null keeps the solves silent.
 EarlyTimes compute_early_activity(const DesignView& design,
                                   const EarlyOptions& options = {},
-                                  double coupling_derate = 1.0);
+                                  double coupling_derate = 1.0,
+                                  const util::DiagHandle* diag = nullptr);
 
 /// The sharpest input ramps the min-propagation evaluates arcs with.
 /// Factored out so the incremental updater constructs bit-identical
@@ -51,12 +58,14 @@ util::Pwl early_sharp_ramp(const device::Technology& tech,
 /// Single-gate kernel of the min-propagation: overwrite `early` for
 /// `gate`'s output net from the fanins' current values. Shared by
 /// compute_early_activity and the incremental early updater
-/// (sta/incremental/) so both produce bitwise-identical numbers.
+/// (sta/incremental/) so both produce bitwise-identical numbers. `diag` as
+/// for compute_early_activity.
 void recompute_gate_early(const DesignView& design, const EarlyOptions& options,
                           double coupling_derate,
                           delaycalc::ArcDelayCalculator& calc,
                           const util::Pwl& sharp_rise,
                           const util::Pwl& sharp_fall, netlist::GateId gate,
-                          EarlyTimes& early);
+                          EarlyTimes& early,
+                          const util::DiagHandle* diag = nullptr);
 
 }  // namespace xtalk::sta

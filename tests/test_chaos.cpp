@@ -215,18 +215,23 @@ TEST(ChaosClient, VersionMismatchIsATypedError) {
   ServerFixture fx;
   XtalkClient client = fx.connect();
 
-  // Wrong version: typed rejection, connection stays usable.
-  util::WireWriter beta;
-  HelloMsg future_hello;
-  future_hello.protocol_version = 999;
-  future_hello.encode(beta);
-  client.send_frame(MsgType::kHello, 7, beta);
-  FrameView reply = client.recv_frame();
-  ASSERT_EQ(reply.type, MsgType::kError);
-  util::WireReader r = reply.body(client.limits());
+  // Wrong version: typed rejection, connection stays usable. Version 6 is
+  // the last one with durable sessions (eco-resume, tokens); a client that
+  // still speaks it must be turned away before it sends any of that.
   ErrorMsg err;
-  ASSERT_TRUE(err.decode(r));
-  EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
+  FrameView reply;
+  for (const std::uint32_t version : {999u, 6u}) {
+    util::WireWriter beta;
+    HelloMsg other_hello;
+    other_hello.protocol_version = version;
+    other_hello.encode(beta);
+    client.send_frame(MsgType::kHello, 7, beta);
+    reply = client.recv_frame();
+    ASSERT_EQ(reply.type, MsgType::kError) << "version " << version;
+    util::WireReader r = reply.body(client.limits());
+    ASSERT_TRUE(err.decode(r));
+    EXPECT_EQ(err.code, ErrorCode::kVersionMismatch) << "version " << version;
+  }
 
   // Legacy v1 clients sent an empty hello body: same typed error, no
   // undefined decoding.
@@ -236,6 +241,19 @@ TEST(ChaosClient, VersionMismatchIsATypedError) {
   util::WireReader r2 = reply.body(client.limits());
   ASSERT_TRUE(err.decode(r2));
   EXPECT_EQ(err.code, ErrorCode::kVersionMismatch);
+
+  // Type 13 was eco-resume up to v6; it is retired, not reused, so a stray
+  // frame of it is an unknown type and the connection keeps serving.
+  util::WireWriter token;
+  token.u64(1);
+  client.send_frame(static_cast<MsgType>(13), 9, token);
+  reply = client.recv_frame();
+  ASSERT_EQ(reply.type, MsgType::kError);
+  EXPECT_EQ(reply.request_id, 9u);
+  util::WireReader r3 = reply.body(client.limits());
+  ASSERT_TRUE(err.decode(r3));
+  EXPECT_EQ(err.code, ErrorCode::kUnknownType);
+  client.ping();
 
   // The negotiated path round-trips.
   const HelloOkMsg ok = client.hello();

@@ -1,8 +1,8 @@
 // The analysis service end to end over loopback TCP: protocol round trips,
 // the bitwise service-vs-local contract (single and multi-scenario), ECO
-// sessions, malformed-frame recovery, durable-state version skew,
-// per-request trace qualification, overload truncation, and the graceful
-// shutdown drain (listener closes first).
+// sessions, malformed-frame recovery, per-request trace qualification,
+// overload truncation, and the graceful shutdown drain (listener closes
+// first).
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -52,6 +52,15 @@ struct ServerFixture {
   }
 
   XtalkClient connect() { return XtalkClient::connect_tcp(server.port()); }
+
+  /// Block until an executor has picked up `n` requests in total. The drain
+  /// contract covers *received* requests, not bytes still in the kernel
+  /// buffer, so a drain test waits for this before stopping the server.
+  void wait_for_requests(std::uint64_t n) {
+    while (server.stats_snapshot().requests_total < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
 
   XtalkServer server;
 };
@@ -169,88 +178,6 @@ TEST(Protocol, CacheKeyFoldsTheModeOverride) {
   RunSpec other = overridden;
   other.scenario.mode = sta::AnalysisMode::kIterative;
   EXPECT_NE(plain.cache_key(), other.cache_key());
-}
-
-TEST(SessionWal, OldLayoutOpenRecordIsDroppedNotMisdecoded) {
-  // A v4 RunSpec carried a scheduler byte after delay_model. Replaying such
-  // a kSessionOpen record with the current decoder would read every later
-  // field one byte off; fold_session_wal must drop it instead. A v5
-  // RunSpec ended before the scenario's override flag, mode and process
-  // bytes; it must be dropped too, never completed with defaults.
-  std::vector<RunSpec> specs(3);
-  specs[1].mode = sta::AnalysisMode::kIterative;
-  specs[1].delay_model = sta::DelayModel::kNldm;
-  specs[1].esperance = true;
-  specs[1].esperance_window = 0.9e-9;
-  specs[1].timing_windows = true;
-  specs[1].max_waveform_calcs = 4242;
-  specs[1].trace_path = "/tmp/trace.json";
-  specs[2].scenario.name = "fast_derated";
-  specs[2].scenario.vdd_scale = 1.1;
-  specs[2].scenario.temperature_c = -40.0;
-  specs[2].scenario.coupling_derate = 1.2;
-  std::uint64_t token = 1;
-  for (const RunSpec& spec : specs) {
-    util::WalRecord current;
-    current.type = static_cast<std::uint16_t>(WalRecordType::kSessionOpen);
-    current.payload = encode_wal_open(token, spec);
-    // Positive control: the current layout replays.
-    EXPECT_EQ(fold_session_wal({current}).count(token), 1u);
-    for (const std::uint8_t old_scheduler : {0, 1, 2}) {
-      util::WalRecord old = current;
-      // u64 token, u8 mode, u8 delay_model, then the v4 scheduler byte.
-      old.payload.insert(old.payload.begin() + 10, old_scheduler);
-      EXPECT_TRUE(fold_session_wal({old}).empty())
-          << "spec " << token << " scheduler byte " << int(old_scheduler);
-    }
-    util::WalRecord v5 = current;
-    v5.payload.resize(v5.payload.size() - 3);
-    EXPECT_TRUE(fold_session_wal({v5}).empty()) << "spec " << token << " v5";
-    ++token;
-  }
-}
-
-TEST(SessionSnapshot, V5BaselinesSnapshotLoadsAsVersionSkew) {
-  char tmpl[] = "/tmp/xtalk_svc_snap_XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
-  const std::string path = dir + "/baselines.snap";
-
-  // A v5-layout baseline (no override/mode/process bytes) under the v5
-  // snapshot version, as the previous release wrote it.
-  RunSpec spec;
-  util::WireWriter encoded;
-  spec.encode(encoded);
-  std::vector<std::uint8_t> v5_spec = encoded.data();
-  v5_spec.resize(v5_spec.size() - 3);
-  util::WireWriter payload;
-  payload.array(1);
-  for (const std::uint8_t b : v5_spec) payload.u8(b);
-  std::string error;
-  ASSERT_EQ(util::save_snapshot(path, kSnapKindBaselines, 3, payload.data(),
-                                &error, /*do_fsync=*/false),
-            util::PersistStatus::kOk)
-      << error;
-  std::vector<std::uint8_t> loaded;
-  EXPECT_EQ(util::load_snapshot(path, kSnapKindBaselines, kSnapVersion,
-                                &loaded, &error),
-            util::PersistStatus::kVersionSkew);
-
-  const netlist::GeneratorSpec small =
-      netlist::scaled_spec("svc-skew", 19, 40, 5);
-  DesignSession cold(core::Design::generate(small), "skew");
-  cold.enable_persistence(dir, /*do_fsync=*/false);
-  EXPECT_EQ(cold.baselines_cached(), 0u);  // started cold, nothing decoded
-
-  // Positive control: a baseline persisted at the current version warms a
-  // restarted session.
-  cold.baseline(spec, nullptr);
-  DesignSession warm(core::Design::generate(small), "skew");
-  warm.enable_persistence(dir, /*do_fsync=*/false);
-  EXPECT_EQ(warm.baselines_cached(), 1u);
-
-  const std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] const int rc = std::system(cmd.c_str());
 }
 
 TEST(Protocol, TracePathQualification) {
@@ -691,9 +618,7 @@ TEST(Service, StopWithInFlightWorkCompletesIt) {
   util::WireWriter body;
   spec.encode(body);
   client.send_frame(MsgType::kRunSta, 9, body);
-  // Give the event loop a moment to read the frame: the drain contract
-  // covers *received* requests, not bytes still in the kernel buffer.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fx.wait_for_requests(1);
   fx.server.request_stop();
   FrameView reply = client.recv_frame();
   EXPECT_EQ(reply.type, MsgType::kRunResult);
@@ -710,7 +635,7 @@ TEST(Service, TruncateDrainYieldsConservativeResults) {
   util::WireWriter body;
   spec.encode(body);
   client.send_frame(MsgType::kRunSta, 4, body);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  fx.wait_for_requests(1);
   fx.server.request_stop();
   FrameView reply = client.recv_frame();
   ASSERT_EQ(reply.type, MsgType::kRunResult);
@@ -719,7 +644,9 @@ TEST(Service, TruncateDrainYieldsConservativeResults) {
   ASSERT_TRUE(m.decode(r));
   // Depending on timing the run either finished or was soft-cancelled; a
   // cancelled run must still be a conservative anytime result.
-  if (m.budget_exhausted) EXPECT_TRUE(m.conservative);
+  if (m.budget_exhausted) {
+    EXPECT_TRUE(m.conservative);
+  }
   fx.server.join();
 }
 

@@ -11,6 +11,7 @@
 
 #include "sta/early.hpp"
 #include "sta/engine.hpp"
+#include "util/fault_injection.hpp"
 
 namespace xtalk::sta {
 namespace {
@@ -144,6 +145,53 @@ TEST(TimingWindows, SoundEarlyBoundsAreSmaller) {
   const netlist::NetId c0 = h.nl.find_net("c0");
   const netlist::NetId c19 = h.nl.find_net("c59");
   EXPECT_LT(e_opt.start(c0, true), e_opt.start(c19, true));
+}
+
+TEST(TimingWindows, DegradedArcContributesItsInputEarlyTime) {
+  // A solver fallback shifts an arc's waveform later by the degrade margin,
+  // the unsafe direction for a lower bound. A one-shot Newton divergence
+  // on one chain inverter lets the fallback chain recover, so its first
+  // arc (input rising, output falling) comes back degraded: the output
+  // must get exactly the input's early time, delay 0.
+  HandBuilt h;
+  const netlist::NetId in = h.nl.find_net("c4");
+  const netlist::NetId out = h.nl.find_net("c5");
+  const netlist::GateId g = h.nl.net(out).driver.gate;
+  const EarlyTimes clean = compute_early_activity(h.view());
+
+  util::FaultInjector faults;
+  util::FaultSpec once;
+  once.kind = util::FaultKind::kNewtonDiverge;
+  once.gate = static_cast<std::int64_t>(g);
+  once.count = 1;
+  faults.add(once);
+  util::DiagSink sink;
+  util::DiagHandle diag;
+  diag.sink = &sink;
+  diag.faults = &faults;
+  const EarlyTimes faulted =
+      compute_early_activity(h.view(), EarlyOptions{}, 1.0, &diag);
+
+  ASSERT_EQ(faults.fired(), 1u);
+  EXPECT_EQ(faulted.start(in, true), clean.start(in, true));
+  EXPECT_EQ(faulted.start(out, false), clean.start(in, true));
+  EXPECT_LT(faulted.start(out, false), clean.start(out, false));
+  // The other arc of the gate solved cleanly and keeps its value.
+  EXPECT_EQ(faulted.start(out, true), clean.start(out, true));
+  // Downstream the bound only moves earlier, never later.
+  for (netlist::NetId n = 0; n < h.nl.num_nets(); ++n) {
+    for (const bool rising : {true, false}) {
+      if (!std::isfinite(clean.start(n, rising))) continue;
+      EXPECT_LE(faulted.start(n, rising), clean.start(n, rising));
+    }
+  }
+  // The fallback is reported, with the gate's context.
+  bool reported = false;
+  for (const util::Diagnostic& d : sink.snapshot()) {
+    EXPECT_EQ(d.ctx.gate, static_cast<std::int64_t>(g));
+    reported = reported || d.code == util::DiagCode::kInjectedFault;
+  }
+  EXPECT_TRUE(reported);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(TraceSpan, NestedSpansCloseChildFirstWithTimeContainment) {
       TraceSpan inner(&buf, "inner");
       // Make the inner span measurably non-empty.
       volatile int sink = 0;
-      for (int i = 0; i < 1000; ++i) sink += i;
+      for (int i = 0; i < 1000; ++i) sink = sink + i;
     }
   }
   const std::vector<TraceEvent> events = buf.snapshot();
