@@ -38,9 +38,6 @@ util::WireReader FrameView::body(const util::WireLimits& limits) const {
 }
 
 XtalkClient::XtalkClient(util::Socket sock, util::WireLimits limits)
-    : sock_(util::FaultSocket(std::move(sock))), limits_(limits) {}
-
-XtalkClient::XtalkClient(util::FaultSocket sock, util::WireLimits limits)
     : sock_(std::move(sock)), limits_(limits) {}
 
 XtalkClient XtalkClient::connect_unix(const std::string& path,
@@ -53,12 +50,9 @@ XtalkClient XtalkClient::connect_unix(const std::string& path,
 }
 
 XtalkClient XtalkClient::connect_tcp(std::uint16_t port,
-                                     util::WireLimits limits,
-                                     util::SocketFaultInjector* injector,
-                                     std::int64_t conn) {
+                                     util::WireLimits limits) {
   try {
-    return XtalkClient(util::fault_connect_tcp_loopback(port, injector, conn),
-                       limits);
+    return XtalkClient(util::connect_tcp_loopback(port), limits);
   } catch (const util::DiagError& e) {
     throw_transport(TransportFailure::kConnectRefused, e.diagnostic().message);
   }

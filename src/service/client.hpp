@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "service/protocol.hpp"
-#include "util/fault_socket.hpp"
 #include "util/socket.hpp"
 #include "util/wire.hpp"
 
@@ -84,16 +83,11 @@ struct FrameView {
 class XtalkClient {
  public:
   explicit XtalkClient(util::Socket sock, util::WireLimits limits = {});
-  explicit XtalkClient(util::FaultSocket sock, util::WireLimits limits = {});
 
   static XtalkClient connect_unix(const std::string& path,
                                   util::WireLimits limits = {});
-  /// `injector` (optional) arms the connection for fault injection, with
-  /// `conn` as its schedule filter id; connect-refusal specs fire here.
   static XtalkClient connect_tcp(std::uint16_t port,
-                                 util::WireLimits limits = {},
-                                 util::SocketFaultInjector* injector = nullptr,
-                                 std::int64_t conn = -1);
+                                 util::WireLimits limits = {});
 
   /// Deadline for every blocking read, ms; 0 waits forever (default).
   void set_read_timeout_ms(int ms) { read_timeout_ms_ = ms; }
@@ -135,8 +129,7 @@ class XtalkClient {
   /// are not interpreted).
   FrameView recv_frame();
 
-  util::Socket& socket() { return sock_.raw(); }
-  util::FaultSocket& fault_socket() { return sock_; }
+  util::Socket& socket() { return sock_; }
   const util::WireLimits& limits() const { return limits_; }
 
  private:
@@ -144,7 +137,7 @@ class XtalkClient {
   FrameView transact(MsgType request, const util::WireWriter& body,
                      MsgType expected_response);
 
-  util::FaultSocket sock_;
+  util::Socket sock_;
   util::WireLimits limits_;
   std::uint32_t next_request_id_ = 1;
   int read_timeout_ms_ = 0;

@@ -1,5 +1,7 @@
 #include "service/retry.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -7,26 +9,31 @@
 
 namespace xtalk::service {
 
+namespace {
+
+/// Backoff before retry k (k >= 0): min(kBaseBackoffMs << k, kMaxBackoffMs),
+/// scaled by a uniform draw from [1 - kJitter/2, 1 + kJitter/2].
+constexpr int kBaseBackoffMs = 5;
+constexpr int kMaxBackoffMs = 500;
+constexpr double kJitter = 0.5;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // ResilientClient plumbing
 // ---------------------------------------------------------------------------
 
-ResilientClient::ResilientClient(std::uint16_t tcp_port, RetryPolicy policy,
-                                 util::WireLimits limits,
-                                 util::SocketFaultInjector* injector,
-                                 std::int64_t conn)
+// The jitter stream is seeded per process and port, so clients retrying
+// into the same recovering server draw different delays.
+ResilientClient::ResilientClient(std::uint16_t tcp_port, RetryPolicy policy)
     : port_(tcp_port),
       policy_(policy),
-      limits_(limits),
-      injector_(injector),
-      conn_label_(conn),
-      jitter_rng_(policy.seed) {}
+      jitter_rng_((static_cast<std::uint64_t>(::getpid()) << 16) ^ tcp_port) {}
 
 void ResilientClient::ensure_connected() {
-  if (client_ != nullptr && client_->fault_socket().valid()) return;
+  if (client_ != nullptr && client_->socket().valid()) return;
   client_.reset();
-  XtalkClient fresh =
-      XtalkClient::connect_tcp(port_, limits_, injector_, conn_label_);
+  XtalkClient fresh = XtalkClient::connect_tcp(port_);
   fresh.set_read_timeout_ms(policy_.read_timeout_ms);
   fresh.set_next_request_id(next_request_id_);
   client_ = std::make_unique<XtalkClient>(std::move(fresh));
@@ -45,14 +52,9 @@ void ResilientClient::drop_connection() {
 
 void ResilientClient::backoff(int attempt) {
   const int shift = std::min(attempt, 20);
-  double delay_ms = static_cast<double>(
-      std::min<std::int64_t>(static_cast<std::int64_t>(policy_.base_backoff_ms)
-                                 << shift,
-                             policy_.max_backoff_ms));
-  // Deterministic jitter: decorrelates a fleet of clients retrying into the
-  // same recovering server without sacrificing test reproducibility.
-  delay_ms *= 1.0 - policy_.jitter / 2.0 + policy_.jitter * jitter_rng_.next_double();
-  if (delay_ms <= 0.0) return;
+  double delay_ms = static_cast<double>(std::min<std::int64_t>(
+      static_cast<std::int64_t>(kBaseBackoffMs) << shift, kMaxBackoffMs));
+  delay_ms *= 1.0 - kJitter / 2.0 + kJitter * jitter_rng_.next_double();
   std::this_thread::sleep_for(
       std::chrono::microseconds(static_cast<std::int64_t>(delay_ms * 1000.0)));
 }

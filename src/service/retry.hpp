@@ -4,8 +4,8 @@
 // policy DESIGN.md §14 specifies:
 //
 //   * Idempotent requests (hello/ping/run_sta/queries/stats/health) retry
-//     transparently after any TransportError: reconnect with exponential
-//     backoff + deterministic jitter, bounded by a retry budget. Re-running
+//     transparently after any TransportError: reconnect with jittered
+//     exponential backoff, bounded by a retry budget. Re-running
 //     an analysis is safe because results are a pure function of the design
 //     and the RunSpec (the engine's bitwise-determinism contract).
 //
@@ -33,23 +33,13 @@
 
 #include "service/client.hpp"
 #include "service/protocol.hpp"
-#include "util/fault_socket.hpp"
 #include "util/rng.hpp"
-#include "util/wire.hpp"
 
 namespace xtalk::service {
 
 struct RetryPolicy {
   /// Transport attempts per operation (connect + exchange = one attempt).
   int max_attempts = 6;
-  /// Backoff before attempt k (k ≥ 1): min(base << (k-1), max), jittered.
-  int base_backoff_ms = 5;
-  int max_backoff_ms = 500;
-  /// Jitter fraction: the delay is scaled by a uniform draw from
-  /// [1 - jitter/2, 1 + jitter/2]. Deterministic via `seed`.
-  double jitter = 0.5;
-  /// Seed for the jitter stream (deterministic tests pin it).
-  std::uint64_t seed = 1;
   /// Per-request read deadline handed to the underlying client; 0 = none.
   int read_timeout_ms = 10000;
 };
@@ -108,12 +98,8 @@ class EcoHandle {
 
 class ResilientClient {
  public:
-  /// Connects lazily (first operation). `injector`, when given, arms every
-  /// connection this client makes, with `conn` as the schedule filter id.
-  ResilientClient(std::uint16_t tcp_port, RetryPolicy policy = {},
-                  util::WireLimits limits = {},
-                  util::SocketFaultInjector* injector = nullptr,
-                  std::int64_t conn = -1);
+  /// Connects lazily (first operation).
+  ResilientClient(std::uint16_t tcp_port, RetryPolicy policy = {});
 
   // --- idempotent operations (transparent retry) --------------------------
   HelloOkMsg hello();
@@ -154,9 +140,6 @@ class ResilientClient {
 
   std::uint16_t port_;
   RetryPolicy policy_;
-  util::WireLimits limits_;
-  util::SocketFaultInjector* injector_;
-  std::int64_t conn_label_;
 
   std::unique_ptr<XtalkClient> client_;
   std::uint32_t next_request_id_ = 1;

@@ -10,10 +10,12 @@
 // Over TCP the client retries idempotent requests through transport faults
 // (--retries, exponential backoff) instead of failing on the first torn
 // connection; --timeout-ms bounds every blocking read either way.
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "service/cli_args.hpp"
 #include "service/client.hpp"
 #include "service/retry.hpp"
 
@@ -160,19 +162,23 @@ int main(int argc, char** argv) {
       socket_path = value();
     } else if (arg == "--tcp-port") {
       use_tcp = true;
-      tcp_port = static_cast<std::uint16_t>(std::stoul(value()));
+      tcp_port = static_cast<std::uint16_t>(
+          service::parse_int_flag(arg, value(), 1, 65535));
     } else if (arg == "--timeout-ms") {
-      timeout_ms = std::stoi(value());
+      timeout_ms =
+          static_cast<int>(service::parse_int_flag(arg, value(), 0, INT_MAX));
     } else if (arg == "--retries") {
-      retries = std::stoi(value());
+      retries =
+          static_cast<int>(service::parse_int_flag(arg, value(), 0, 1000));
     } else if (arg == "--mode") {
       spec.mode = parse_mode(value());
     } else if (arg == "--nldm") {
       spec.delay_model = sta::DelayModel::kNldm;
     } else if (arg == "--deadline-ms") {
-      spec.deadline_ms = std::stod(value());
+      spec.deadline_ms = service::parse_nonneg_real_flag(arg, value());
     } else if (arg == "--max-calcs") {
-      spec.max_waveform_calcs = std::stoul(value());
+      spec.max_waveform_calcs = static_cast<std::uint64_t>(
+          service::parse_int_flag(arg, value(), 0, LLONG_MAX));
     } else if (arg == "--trace") {
       spec.trace_path = value();
     } else if (arg == "--help" || arg == "-h") {
@@ -194,7 +200,7 @@ int main(int argc, char** argv) {
   try {
     if (use_tcp) {
       service::RetryPolicy policy;
-      policy.max_attempts = std::max(1, retries + 1);
+      policy.max_attempts = retries + 1;
       policy.read_timeout_ms = timeout_ms >= 0 ? timeout_ms : 10000;
       service::ResilientClient client(tcp_port, policy);
       return run_command(client, command, spec);

@@ -19,6 +19,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -29,6 +30,7 @@
 
 #include "core/crosstalk_sta.hpp"
 #include "netlist/circuit_generator.hpp"
+#include "service/cli_args.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -144,29 +146,38 @@ int main(int argc, char** argv) {
       socket_path = value();
     } else if (arg == "--tcp-port") {
       use_tcp = true;
-      tcp_port = static_cast<std::uint16_t>(std::stoul(value()));
+      tcp_port = static_cast<std::uint16_t>(
+          service::parse_int_flag(arg, value(), 0, 65535));
     } else if (arg == "--preset") {
       preset = value();
     } else if (arg == "--bench") {
       bench_file = value();
     } else if (arg == "--executors") {
-      config.num_executors = std::stoul(value());
+      config.num_executors = static_cast<std::size_t>(
+          service::parse_int_flag(arg, value(), 1, 1024));
     } else if (arg == "--pool-threads") {
-      config.pool_threads = std::stoi(value());
+      config.pool_threads =
+          static_cast<int>(service::parse_int_flag(arg, value(), 0, 1024));
     } else if (arg == "--deadline-ms") {
-      config.default_budget.deadline_ms = std::stod(value());
+      config.default_budget.deadline_ms =
+          service::parse_nonneg_real_flag(arg, value());
     } else if (arg == "--max-calcs") {
-      config.default_budget.max_waveform_calcs = std::stoul(value());
+      config.default_budget.max_waveform_calcs = static_cast<std::size_t>(
+          service::parse_int_flag(arg, value(), 0, LLONG_MAX));
     } else if (arg == "--soft-queue") {
-      config.admission.soft_queue = std::stoul(value());
+      config.admission.soft_queue = static_cast<std::size_t>(
+          service::parse_int_flag(arg, value(), 0, LLONG_MAX));
     } else if (arg == "--drain-truncate") {
       config.drain = service::DrainPolicy::kTruncate;
     } else if (arg == "--stall-timeout-ms") {
-      config.stall_timeout_ms = std::stoi(value());
+      config.stall_timeout_ms =
+          static_cast<int>(service::parse_int_flag(arg, value(), 0, INT_MAX));
     } else if (arg == "--drain-flush-ms") {
-      config.drain_flush_timeout_ms = std::stoi(value());
+      config.drain_flush_timeout_ms =
+          static_cast<int>(service::parse_int_flag(arg, value(), 0, INT_MAX));
     } else if (arg == "--max-outbox-bytes") {
-      config.max_outbox_bytes = std::stoul(value());
+      config.max_outbox_bytes = static_cast<std::size_t>(
+          service::parse_int_flag(arg, value(), 1, LLONG_MAX));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -161,31 +161,48 @@ void Socket::send_all(const void* buf, std::size_t n) {
   }
 }
 
-void Socket::recv_exact(void* buf, std::size_t n) {
+RecvOutcome Socket::recv_exact_deadline(void* buf, std::size_t n,
+                                        int timeout_ms, std::string* error) {
   auto* p = static_cast<std::uint8_t*>(buf);
+  const bool bounded = timeout_ms > 0;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(bounded ? timeout_ms : 0);
   while (n > 0) {
+    if (bounded) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            deadline - std::chrono::steady_clock::now())
+                            .count();
+      if (left <= 0) return RecvOutcome::kTimeout;
+      // Poll before reading so a peer that stops sending mid-frame cannot
+      // park us in a blocking read past the deadline.
+      short revents = 0;
+      try {
+        revents = poll_wait(POLLIN, static_cast<int>(left));
+      } catch (const DiagError& e) {
+        if (error != nullptr) *error = e.diagnostic().message;
+        return RecvOutcome::kError;
+      }
+      if (revents == 0) return RecvOutcome::kTimeout;
+    }
     bool would_block = false;
-    std::string error;
-    const std::ptrdiff_t got = recv_some(p, n, &would_block, &error);
+    std::string err;
+    const std::ptrdiff_t got = recv_some(p, n, &would_block, &err);
     if (got == 0) {
-      Diagnostic d;
-      d.code = DiagCode::kFileError;
-      d.severity = Severity::kError;
-      d.message = "connection closed mid-frame (" + std::to_string(n) +
-                  " bytes outstanding)";
-      throw DiagError(std::move(d));
+      if (error != nullptr) {
+        *error = "connection closed mid-frame (" + std::to_string(n) +
+                 " bytes outstanding)";
+      }
+      return RecvOutcome::kClosed;
     }
     if (got < 0) {
-      if (would_block) continue;
-      Diagnostic d;
-      d.code = DiagCode::kFileError;
-      d.severity = Severity::kError;
-      d.message = error;
-      throw DiagError(std::move(d));
+      if (would_block) continue;  // raced with another reader or spurious wake
+      if (error != nullptr) *error = std::move(err);
+      return RecvOutcome::kError;
     }
     p += got;
     n -= static_cast<std::size_t>(got);
   }
+  return RecvOutcome::kOk;
 }
 
 Listener Listener::unix_domain(const std::string& path, int backlog) {

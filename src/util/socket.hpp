@@ -16,6 +16,14 @@
 
 namespace xtalk::util {
 
+/// Outcome of a deadline-bounded exact read.
+enum class RecvOutcome : std::uint8_t {
+  kOk = 0,
+  kTimeout,  ///< deadline expired with bytes still outstanding
+  kClosed,   ///< orderly EOF mid-read
+  kError,    ///< transport error (message in *error)
+};
+
 /// Owned file descriptor. Move-only; closes on destruction.
 class Socket {
  public:
@@ -45,8 +53,8 @@ class Socket {
   }
   void close();
   /// Abortive close: SO_LINGER{on, 0} then close, so a TCP peer sees RST
-  /// instead of an orderly FIN. The chaos proxy uses this to model a peer
-  /// dying mid-frame; harmless (plain close) on non-TCP fds.
+  /// instead of an orderly FIN. Tests use this to model a peer dying
+  /// mid-frame; harmless (plain close) on non-TCP fds.
   void close_abortive();
 
   /// poll(2) this fd for `events` (POLLIN/POLLOUT). Returns the revents
@@ -69,9 +77,11 @@ class Socket {
   /// Blocking send of the whole buffer (client side). Throws
   /// DiagError(kFileError) on failure.
   void send_all(const void* buf, std::size_t n);
-  /// Blocking receive of exactly `n` bytes. Throws DiagError(kFileError) on
-  /// error or premature EOF.
-  void recv_exact(void* buf, std::size_t n);
+  /// Read exactly `n` bytes within `timeout_ms` (0 = no deadline), polling
+  /// before every read so a stalled peer cannot hang the caller. Partial
+  /// progress does NOT extend the deadline: it bounds the whole call.
+  RecvOutcome recv_exact_deadline(void* buf, std::size_t n, int timeout_ms,
+                                  std::string* error = nullptr);
 
  private:
   int fd_ = -1;
