@@ -34,25 +34,19 @@ bool AdmissionController::admit(std::size_t queue_depth,
   budget->deadline_ms = min_limit(budget->deadline_ms, server_default.deadline_ms);
   budget->max_waveform_calcs =
       min_limit(budget->max_waveform_calcs, server_default.max_waveform_calcs);
-  budget->soft_memory_bytes =
-      min_limit(budget->soft_memory_bytes, server_default.soft_memory_bytes);
-  budget->hard_memory_bytes =
-      min_limit(budget->hard_memory_bytes, server_default.hard_memory_bytes);
 
   if (queue_depth <= config_.soft_queue) return false;
 
-  // Overload: tighten toward the clamps and force the anytime policy so the
-  // truncation surfaces as a conservative result, never as an error.
+  // Overload: tighten toward the clamps; the truncation surfaces as a
+  // conservative anytime result, never as an error.
   const double clamped_deadline =
       min_limit(budget->deadline_ms, config_.overload_deadline_ms);
   const std::size_t clamped_calcs =
       min_limit(budget->max_waveform_calcs, config_.overload_max_calcs);
   const bool tightened = clamped_deadline != budget->deadline_ms ||
-                         clamped_calcs != budget->max_waveform_calcs ||
-                         budget->policy != util::BudgetPolicy::kAnytime;
+                         clamped_calcs != budget->max_waveform_calcs;
   budget->deadline_ms = clamped_deadline;
   budget->max_waveform_calcs = clamped_calcs;
-  budget->policy = util::BudgetPolicy::kAnytime;
   if (tightened) degraded_.fetch_add(1, std::memory_order_relaxed);
   return tightened;
 }

@@ -1,13 +1,12 @@
 // Request admission control: the service's overload story.
 //
 // The daemon never rejects analysis work with an error while it is up —
-// the PR 4 run governor gives it a better tool. Every admitted request
-// carries a RunBudget; when the request queue is deeper than the configured
-// soft threshold, admission *clamps* the budget (tighter deadline and/or
-// waveform-calc cap, policy forced to kAnytime) so overloaded requests
-// finish early with a provably conservative anytime result instead of
-// queueing unboundedly or failing. Load sheds itself: the deeper the queue,
-// the cheaper each admitted run.
+// the run governor gives it a better tool. Every admitted request carries
+// a RunBudget; when the request queue is deeper than the configured soft
+// threshold, admission *clamps* the budget (tighter deadline and/or
+// waveform-calc cap) so overloaded requests finish early with a provably
+// conservative anytime result instead of queueing unboundedly or failing.
+// Load sheds itself: the deeper the queue, the cheaper each admitted run.
 //
 // Determinism note: admission changes *budgets*, never inputs — a clamped
 // run is exactly the run a one-shot CLI invocation with the same (clamped)

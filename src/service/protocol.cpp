@@ -10,7 +10,6 @@ namespace {
 constexpr std::uint8_t kNumAnalysisModes = 5;
 constexpr std::uint8_t kNumDelayModels = 2;
 constexpr std::uint8_t kNumFaultPolicies = 2;
-constexpr std::uint8_t kNumBudgetPolicies = 2;
 constexpr std::uint8_t kNumEcoOps = 6;
 constexpr std::uint8_t kNumErrorCodes = 8;
 constexpr std::uint8_t kNumProcessCorners = 3;
@@ -119,7 +118,6 @@ sta::StaOptions RunSpec::to_options() const {
   o.fault_policy = fault_policy;
   o.budget.deadline_ms = deadline_ms;
   o.budget.max_waveform_calcs = static_cast<std::size_t>(max_waveform_calcs);
-  o.budget.policy = budget_policy;
   o.collect_metrics = collect_metrics;
   o.trace_path = trace_path;
   return sta::apply_scenario(o, scenario);
@@ -152,7 +150,6 @@ void RunSpec::encode(util::WireWriter& w) const {
   w.u8(static_cast<std::uint8_t>(fault_policy));
   w.f64(deadline_ms);
   w.u64(max_waveform_calcs);
-  w.u8(static_cast<std::uint8_t>(budget_policy));
   w.boolean(collect_metrics);
   w.str(trace_path);
   encode_scenario(w, scenario);
@@ -176,8 +173,6 @@ bool RunSpec::decode(util::WireReader& r) {
   fault_policy = static_cast<util::FaultPolicy>(v);
   if (!r.f64(&deadline_ms)) return false;
   if (!r.u64(&max_waveform_calcs)) return false;
-  if (!r.enum8(&v, kNumBudgetPolicies)) return false;
-  budget_policy = static_cast<util::BudgetPolicy>(v);
   if (!r.boolean(&collect_metrics)) return false;
   if (!r.str(&trace_path)) return false;
   return decode_scenario(r, &scenario);
@@ -324,7 +319,6 @@ void RunResultMsg::encode(util::WireWriter& w) const {
   w.i32(completed_passes);
   w.u64(completed_levels);
   w.u64(total_levels);
-  w.boolean(conservative);
   w.u64(governor_checks);
   w.array(untimed_endpoints.size());
   for (const std::uint32_t n : untimed_endpoints) w.u32(n);
@@ -357,7 +351,6 @@ bool RunResultMsg::decode(util::WireReader& r) {
   if (!r.i32(&completed_passes)) return false;
   if (!r.u64(&completed_levels)) return false;
   if (!r.u64(&total_levels)) return false;
-  if (!r.boolean(&conservative)) return false;
   if (!r.u64(&governor_checks)) return false;
   std::uint32_t n;
   if (!r.array(&n, /*min_item_bytes=*/4)) return false;
@@ -400,7 +393,6 @@ RunResultMsg RunResultMsg::from_result(const sta::StaResult& result) {
   m.completed_passes = result.budget.completed_passes;
   m.completed_levels = result.budget.completed_levels;
   m.total_levels = result.budget.total_levels;
-  m.conservative = result.budget.conservative;
   m.governor_checks = result.budget.governor_checks;
   m.untimed_endpoints.assign(result.budget.untimed_endpoints.begin(),
                              result.budget.untimed_endpoints.end());

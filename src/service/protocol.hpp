@@ -35,7 +35,10 @@ namespace xtalk::service {
 /// override and the process corner. v7: the durable-session surface is
 /// gone: the eco-resume request and reply, the eco_open token, the edit
 /// batch sequence number and the durability counters of stats and health.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+/// v8: one soft budget: RunSpec dropped its budget-policy byte and
+/// RunResultMsg its always-true `conservative` flag; the budget-reason
+/// byte lost the two memory reasons (deadline 1, calcs 2, cancelled 3).
+inline constexpr std::uint32_t kProtocolVersion = 8;
 /// Frame header size on the socket (payload length prefix).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
@@ -125,7 +128,6 @@ struct RunSpec {
   /// further under overload (anytime truncation, never an error).
   double deadline_ms = 0.0;
   std::uint64_t max_waveform_calcs = 0;
-  util::BudgetPolicy budget_policy = util::BudgetPolicy::kAnytime;
   bool collect_metrics = false;
   std::string trace_path;
   /// The analysis scenario: corner (process, V/T) the session derives its
@@ -252,7 +254,6 @@ struct RunResultMsg {
   std::int32_t completed_passes = 0;
   std::uint64_t completed_levels = 0;
   std::uint64_t total_levels = 0;
-  bool conservative = true;
   std::uint64_t governor_checks = 0;
   std::vector<std::uint32_t> untimed_endpoints;
   // Diagnostics (deterministic order, possibly truncated by the sink cap).

@@ -31,8 +31,7 @@ ResilientClient::ResilientClient(std::uint16_t tcp_port, RetryPolicy policy)
       jitter_rng_((static_cast<std::uint64_t>(::getpid()) << 16) ^ tcp_port) {}
 
 void ResilientClient::ensure_connected() {
-  if (client_ != nullptr && client_->socket().valid()) return;
-  client_.reset();
+  if (client_ != nullptr) return;
   XtalkClient fresh = XtalkClient::connect_tcp(port_);
   fresh.set_read_timeout_ms(policy_.read_timeout_ms);
   fresh.set_next_request_id(next_request_id_);

@@ -117,7 +117,6 @@ class ResilientClient {
   EcoHandle eco_open(const RunSpec& spec);
 
   const ResilienceStats& resilience() const { return stats_; }
-  const RetryPolicy& policy() const { return policy_; }
 
  private:
   friend class EcoHandle;

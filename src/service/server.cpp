@@ -93,7 +93,7 @@ void XtalkServer::request_stop() {
     // Soft-cancel: in-flight and queued runs truncate at the next governor
     // checkpoint into conservative anytime results. The tokens stay
     // requested for the rest of the drain (executors skip the reset).
-    for (auto& ex : executors_) ex->cancel.request(/*hard=*/false);
+    for (auto& ex : executors_) ex->cancel.request();
   }
   wake_.notify();
 }

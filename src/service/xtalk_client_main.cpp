@@ -88,8 +88,7 @@ int run_command(Client& client, const std::string& command,
               << ", waveform calcs: " << m.waveform_calculations
               << ", runtime: " << m.runtime_seconds << " s\n";
     if (m.budget_exhausted) {
-      std::cout << "TRUNCATED (conservative="
-                << (m.conservative ? "yes" : "no") << ", "
+      std::cout << "TRUNCATED (conservative anytime result, "
                 << m.untimed_endpoints.size() << " untimed endpoints)\n";
     }
     if (!m.trace_path.empty())

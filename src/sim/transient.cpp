@@ -367,25 +367,6 @@ TransientResult simulate(const Circuit& ckt,
   bool reported_hold = false;
   std::size_t holds = 0;
   while (t < opt.tstop - 1e-18) {
-    if (opt.governor != nullptr) {
-      const util::BudgetReason br = opt.governor->checkpoint(0);
-      if (br != util::BudgetReason::kNone) {
-        if (opt.governor->hard_exhausted() ||
-            opt.governor->budget().policy ==
-                util::BudgetPolicy::kStrictBudget) {
-          throw make_error(opt, util::DiagCode::kBudgetExhausted,
-                           std::string("transient run budget exhausted (") +
-                               util::budget_reason_name(br) + ") at t=" +
-                               std::to_string(t));
-        }
-        report(opt, util::DiagCode::kBudgetExhausted,
-               util::Severity::kWarning,
-               std::string("transient run budget exhausted (") +
-                   util::budget_reason_name(br) + "); simulation truncated "
-                   "at t=" + std::to_string(t));
-        break;
-      }
-    }
     const double step = std::min(h, opt.tstop - t);
     const double t_next = t + step;
     v = v_prev;  // predictor: previous value

@@ -15,7 +15,6 @@
 #include "util/diag.hpp"
 #include "util/fault_injection.hpp"
 #include "util/pwl.hpp"
-#include "util/run_governor.hpp"
 #include "util/trace.hpp"
 
 namespace xtalk::sim {
@@ -37,12 +36,6 @@ struct TransientOptions {
   /// failure, holds the previous state across the bad step (zero-order
   /// hold), and completes.
   util::FaultPolicy fault_policy = util::FaultPolicy::kStrict;
-  /// Run governor checked once per accepted outer time step (borrowed; null
-  /// = unlimited). Soft exhaustion under BudgetPolicy::kAnytime ends the
-  /// simulation at the current time point with a kBudgetExhausted warning
-  /// (the recorded prefix is untouched); a hard condition or
-  /// kStrictBudget throws util::DiagError instead.
-  util::RunGovernor* governor = nullptr;
   /// Trace buffer for "sim.dc"/"sim.run" spans (borrowed; null = no
   /// tracing). Single-writer: the simulate() caller's thread.
   util::TraceBuffer* trace = nullptr;

@@ -74,11 +74,6 @@ void validate_options(const StaOptions& o) {
     throw std::invalid_argument(
         "RunBudget::deadline_ms must be >= 0 (0 = unlimited)");
   }
-  if (o.budget.hard_memory_bytes > 0 && o.budget.soft_memory_bytes >
-                                            o.budget.hard_memory_bytes) {
-    throw std::invalid_argument(
-        "RunBudget::soft_memory_bytes must not exceed hard_memory_bytes");
-  }
   if (!(o.coupling_derate >= 0.0) || !std::isfinite(o.coupling_derate)) {
     throw std::invalid_argument(
         "StaOptions::coupling_derate must be finite and >= 0");
@@ -128,7 +123,7 @@ StaEngine::StaEngine(const DesignView& design, const StaOptions& options)
       options_(options),
       calculator_(*design.tables),
       sink_(kMaxDiagnostics),
-      governor_(options.budget, options.cancel, options.governor_hook) {
+      governor_(options.budget, options.cancel) {
   if (options_.delay_model == DelayModel::kNldm) {
     // Prefer a caller-supplied characterization (MCMM corners hand in one
     // matching their scaled technology); the shared half-micron static is
@@ -689,18 +684,29 @@ void StaEngine::degrade_gate(netlist::GateId gate_id, const PassConfig& config,
   timing[out].calculated = true;
 }
 
-void StaEngine::throw_budget(util::BudgetReason reason, int pass,
-                             std::size_t level) {
-  util::Diagnostic d;
-  d.code = util::DiagCode::kBudgetExhausted;
-  d.severity = util::Severity::kError;
-  d.ctx.pass = pass;
-  d.ctx.level = static_cast<std::int64_t>(level);
-  d.message = std::string("run budget exhausted (") +
-              util::budget_reason_name(reason) + "), policy forbids an " +
-              "anytime result";
-  sink_.report(d);
-  throw util::DiagError(d);
+void StaEngine::DiagsByGate::build(const std::vector<util::Diagnostic>& diags,
+                                   std::size_t num_gates) {
+  // Counting sort by gate, stable in the recorded order. Entries without a
+  // gate in range belong to no gate evaluation and are never re-emitted.
+  entries = &diags;
+  begin.assign(num_gates + 1, 0);
+  auto gate_of = [&](const util::Diagnostic& d) -> std::size_t {
+    const std::int64_t g = d.ctx.gate;
+    return g >= 0 && static_cast<std::uint64_t>(g) < num_gates
+               ? static_cast<std::size_t>(g)
+               : num_gates;
+  };
+  for (const util::Diagnostic& d : diags) {
+    const std::size_t g = gate_of(d);
+    if (g < num_gates) ++begin[g + 1];
+  }
+  for (std::size_t g = 0; g < num_gates; ++g) begin[g + 1] += begin[g];
+  order.resize(begin[num_gates]);
+  std::vector<std::uint32_t> fill(begin.begin(), begin.end() - 1);
+  for (std::uint32_t i = 0; i < diags.size(); ++i) {
+    const std::size_t g = gate_of(diags[i]);
+    if (g < num_gates) order[fill[g]++] = i;
+  }
 }
 
 void StaEngine::report_truncation(util::BudgetReason reason, int pass,
@@ -803,8 +809,9 @@ void StaEngine::run_gate(netlist::GateId g, const PassConfig& config,
       return;
     }
     if (config.reuse_diags != nullptr) {
-      for (const util::Diagnostic& d : *config.reuse_diags) {
-        if (d.ctx.gate == static_cast<std::int64_t>(g)) sink_.report(d);
+      const DiagsByGate& by_gate = *config.reuse_diags;
+      for (std::uint32_t i = by_gate.begin[g]; i < by_gate.begin[g + 1]; ++i) {
+        sink_.report((*by_gate.entries)[by_gate.order[i]]);
       }
     }
     gates_reused_.fetch_add(1, std::memory_order_relaxed);
@@ -914,7 +921,7 @@ void StaEngine::run_levels(const PassConfig& config,
   for (std::size_t lvl = 0; lvl + 1 < level_begin.size(); ++lvl) {
     // Governor checkpoint at the level boundary — the only serial point in
     // the traversal, so a count-based truncation lands on the same level
-    // for every thread count. Soft exhaustion stops *before* starting the
+    // for every thread count. Exhaustion stops *before* starting the
     // level: every level that starts also finishes, keeping the computed
     // prefix bitwise identical to the same prefix of an unlimited run.
     // The checkpoint gets its own span and metric so the level wall below
@@ -934,10 +941,6 @@ void StaEngine::run_levels(const PassConfig& config,
       }
     }
     if (br != util::BudgetReason::kNone) {
-      if (governor_.hard_exhausted() ||
-          options_.budget.policy == util::BudgetPolicy::kStrictBudget) {
-        throw_budget(br, config.pass_index, lvl);
-      }
       status.truncated = true;
       util::trace_instant(tbuf(0), "sta.budget_exhausted", "pass",
                           config.pass_index,
@@ -955,16 +958,9 @@ void StaEngine::run_levels(const PassConfig& config,
         level_begin[lvl], level_begin[lvl + 1],
         [&](std::size_t i, std::size_t thread_id) {
           run_gate(order[i], config, timing, thread_id);
-        },
-        &governor_.abort_flag());
+        });
     const std::uint64_t level_t1 =
         metrics_ != nullptr ? util::monotonic_ns() : 0;
-    // A hard condition (hard memory cap, hard cancel) aborts mid-level:
-    // some gates of this level were skipped, so its outputs are unusable —
-    // the run is abandoned outright regardless of the anytime policy.
-    if (governor_.hard_exhausted()) {
-      throw_budget(governor_.reason(), config.pass_index, lvl);
-    }
     status.completed_levels = lvl + 1;
     level_span.finish();
     if (metrics_ != nullptr) {
@@ -1165,13 +1161,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       // Charge the early-activity sweep against the budget. If the budget
       // is already gone, skipping the arrays is sound: pass 1 truncates at
       // level 0 before any gate could read them.
-      const util::BudgetReason br = governor_.checkpoint(0);
-      if (br != util::BudgetReason::kNone &&
-          (governor_.hard_exhausted() ||
-           options_.budget.policy == util::BudgetPolicy::kStrictBudget)) {
-        throw_budget(br, -1, 0);
-      }
-      if (br == util::BudgetReason::kNone) {
+      if (governor_.checkpoint(0) == util::BudgetReason::kNone) {
         util::TraceSpan early_span(tbuf(0), "sta.early_activity");
         // The early bound must see the same effective coupling caps as the
         // classification it feeds (its aiding assist scales with them).
@@ -1291,6 +1281,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
   // after an improving pass, which becomes the basis), when there is one.
   // Replay bookkeeping: every pass of a run with a RunTrace gets a
   // value-dirty array against it, all-dirty when not replayable.
+  DiagsByGate replay_diags;  // of the pass being replayed
   auto configure_reuse = [&](PassConfig& cfg, std::size_t k, bool reusable,
                              int basis,
                              const std::vector<NetTiming>* previous) {
@@ -1300,7 +1291,11 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       if (reusable) {
         cfg.reuse_timing = &base->passes[k].timing;
         cfg.reuse_classes = &base->passes[k].classes;
-        cfg.reuse_diags = &base->passes[k].diagnostics;
+        if (!base->passes[k].diagnostics.empty()) {
+          replay_diags.build(base->passes[k].diagnostics,
+                             design_.netlist->num_gates());
+          cfg.reuse_diags = &replay_diags;
+        }
         cfg.seed_dirty = seeds;
         cfg.value_dirty = &dirty_by_pass[k];
         if (basis >= 0) {

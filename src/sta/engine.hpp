@@ -122,22 +122,15 @@ struct StaOptions {
   /// fire deterministically at any thread count; a gate=-1 spec with
   /// after > 0 is only deterministic single-threaded.
   util::FaultInjector* fault_injector = nullptr;
-  /// Run governance: wall-clock deadline, memory caps, waveform-calc cap.
-  /// Defaults to unlimited (the governor's checkpoints are then pure reads
-  /// and results are bitwise identical to an ungoverned run). On
-  /// exhaustion, BudgetPolicy::kAnytime finishes the level in flight and
-  /// returns the anytime result described at StaResult::BudgetStatus;
-  /// kStrictBudget throws util::DiagError(kBudgetExhausted) instead. A
-  /// hard condition (hard memory cap, hard cancel) always throws.
+  /// Run budget: wall-clock deadline and waveform-calc cap. Defaults to
+  /// unlimited (the governor's checkpoints are then pure reads and results
+  /// are bitwise identical to an ungoverned run). On exhaustion the run
+  /// finishes the level in flight and returns the anytime result described
+  /// at StaResult::BudgetStatus.
   util::RunBudget budget;
   /// Optional external cancellation (borrowed; null = none). request()
-  /// truncates the run at the next level boundary like a soft budget;
-  /// request(/*hard=*/true) aborts the level in flight and throws.
+  /// truncates the run at the next level boundary like an exhausted budget.
   util::CancelToken* cancel = nullptr;
-  /// Test-only checkpoint observer (borrowed; null in production): lets a
-  /// test burn wall-clock time at a deterministic serial point so deadline
-  /// truncation reproduces bitwise at any thread count.
-  util::GovernorHook* governor_hook = nullptr;
   /// Collect the per-run metrics snapshot (StaResult::metrics): engine
   /// counters and histograms, the per-pass/per-level breakdown, and
   /// thread-pool utilization. Accumulated into per-thread shards — cheap,
@@ -198,10 +191,6 @@ struct StaResult {
     /// Levels the truncated pass finished (== total_levels otherwise).
     std::size_t completed_levels = 0;
     std::size_t total_levels = 0;
-    /// The anytime guarantee holds (always true: truncation never returns
-    /// a value earlier than the converged run; kept explicit for report
-    /// consumers).
-    bool conservative = true;
     std::uint64_t governor_checks = 0;
     /// Endpoint nets with no timing in the returned result (their driver
     /// cone was cut off by the truncation). Empty on a complete run.
@@ -344,6 +333,18 @@ class StaEngine {
   }
 
  private:
+  /// A replayed pass's baseline diagnostics grouped by gate, built once per
+  /// pass: gate g's entries are entries[order[i]] for i in
+  /// [begin[g], begin[g + 1]), in their recorded order.
+  struct DiagsByGate {
+    const std::vector<util::Diagnostic>* entries = nullptr;
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> order;
+
+    void build(const std::vector<util::Diagnostic>& diags,
+               std::size_t num_gates);
+  };
+
   struct PassConfig {
     /// Quiet times from the previous pass; null on the first pass (then
     /// uncalculated neighbours are assumed coupling, §5.1).
@@ -380,7 +381,7 @@ class StaEngine {
     /// Baseline diagnostics of the replayed pass: a reused gate re-emits
     /// its entries so incremental reports match from-scratch runs. Null
     /// when not replaying.
-    const std::vector<util::Diagnostic>* reuse_diags = nullptr;
+    const DiagsByGate* reuse_diags = nullptr;
   };
 
   /// Per-thread delay-calculation scratch (memoized path enumeration /
@@ -403,9 +404,8 @@ class StaEngine {
 
   /// One full BFS pass (parallel, level by level); fills `timing` and
   /// returns the longest-path delay. Checks the run governor at every
-  /// level boundary; on soft exhaustion finishes nothing further and
-  /// reports the cut in `status`; on a hard condition or under
-  /// kStrictBudget throws util::DiagError(kBudgetExhausted).
+  /// level boundary; on exhaustion starts no further level and reports the
+  /// cut in `status`.
   double run_pass(const PassConfig& config, std::vector<NetTiming>& timing,
                   std::vector<EndpointArrival>& endpoints,
                   EndpointArrival& critical, PassStatus& status);
@@ -508,9 +508,6 @@ class StaEngine {
   util::DiagHandle gate_diag(netlist::GateId gate, netlist::NetId out,
                              const PassConfig& config) const;
 
-  /// Throw util::DiagError(kBudgetExhausted) for a hard/strict budget stop.
-  [[noreturn]] void throw_budget(util::BudgetReason reason, int pass,
-                                 std::size_t level);
   /// Emit the per-truncation diagnostic record (anytime path).
   void report_truncation(util::BudgetReason reason, int pass,
                          const PassStatus& status, const char* what);

@@ -85,8 +85,8 @@ void update_early(const sta::DesignView& design, const EarlyOptions& options,
   for (std::size_t lvl = 0; lvl < buckets.size(); ++lvl) {
     // Charge the update against the run budget but always finish it: a
     // half-propagated early bound would corrupt the session cache, and the
-    // sticky exhaustion reason makes the engine truncate (or throw, under
-    // a strict policy) at its very first checkpoint anyway.
+    // sticky exhaustion reason makes the engine truncate at its very first
+    // checkpoint anyway.
     if (governor != nullptr) governor->checkpoint(0);
     for (std::size_t i = 0; i < buckets[lvl].size(); ++i) {
       const netlist::GateId g = buckets[lvl][i];

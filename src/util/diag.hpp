@@ -48,7 +48,7 @@ enum class DiagCode {
   kTransientHold,         ///< degrade: transient held state past a bad step
   kSingularMatrix,        ///< Jacobian factorization failed
   kInjectedFault,         ///< a test fault-injection site fired
-  kBudgetExhausted,       ///< run governor truncated or aborted the run
+  kBudgetExhausted,       ///< run governor truncated the run
   kParseError,            ///< malformed input line/statement (recovered)
   kInputLimit,            ///< input exceeded a parser resource limit
   kFileError,             ///< file could not be opened/read

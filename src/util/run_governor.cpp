@@ -1,82 +1,24 @@
 #include "util/run_governor.hpp"
 
-#include <chrono>
-
-#ifdef __linux__
-#include <unistd.h>
-
-#include <cstdio>
-#endif
-
 namespace xtalk::util {
 
 const char* budget_reason_name(BudgetReason reason) {
   switch (reason) {
     case BudgetReason::kNone: return "none";
     case BudgetReason::kDeadline: return "deadline";
-    case BudgetReason::kSoftMemory: return "soft-memory";
-    case BudgetReason::kHardMemory: return "hard-memory";
     case BudgetReason::kWaveformCalcs: return "waveform-calcs";
     case BudgetReason::kCancelled: return "cancelled";
   }
   return "unknown";
 }
 
-const char* budget_policy_name(BudgetPolicy policy) {
-  switch (policy) {
-    case BudgetPolicy::kAnytime: return "anytime";
-    case BudgetPolicy::kStrictBudget: return "strict-budget";
-  }
-  return "unknown";
-}
-
-std::size_t RunGovernor::current_rss_bytes() {
-#ifdef __linux__
-  // /proc/self/statm: size resident shared text lib data dt (pages).
-  std::FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long long size_pages = 0;
-  long long resident_pages = 0;
-  const int got = std::fscanf(f, "%lld %lld", &size_pages, &resident_pages);
-  std::fclose(f);
-  if (got != 2 || resident_pages < 0) return 0;
-  const long page = sysconf(_SC_PAGESIZE);
-  return static_cast<std::size_t>(resident_pages) *
-         static_cast<std::size_t>(page > 0 ? page : 4096);
-#else
-  return 0;
-#endif
-}
-
-RunGovernor::RunGovernor(const RunBudget& budget, CancelToken* external,
-                         GovernorHook* hook)
-    : budget_(budget), external_(external), hook_(hook) {
-  // A hard condition can fire while every analysis thread is busy inside a
-  // level bucket; the watchdog turns it into an abort flag the thread pool
-  // polls. Soft conditions wait for the next serial checkpoint instead.
-  const bool watch_memory =
-      budget_.hard_memory_bytes > 0 && current_rss_bytes() > 0;
-  if (watch_memory || external_ != nullptr) {
-    watchdog_ = std::thread([this] { watchdog_main(); });
-  }
-}
-
-RunGovernor::~RunGovernor() {
-  watchdog_stop_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
-}
-
 void RunGovernor::start() {
   if (started_) return;
   t0_ = std::chrono::steady_clock::now();
   started_ = true;
-  checks_.store(0, std::memory_order_relaxed);
-  reason_.store(BudgetReason::kNone, std::memory_order_relaxed);
-  hard_.store(false, std::memory_order_relaxed);
-  abort_.store(false, std::memory_order_relaxed);
+  checks_ = 0;
+  reason_ = BudgetReason::kNone;
 }
-
-void RunGovernor::finish() { started_ = false; }
 
 double RunGovernor::elapsed_seconds() const {
   if (!started_) return 0.0;
@@ -84,76 +26,21 @@ double RunGovernor::elapsed_seconds() const {
       .count();
 }
 
-void RunGovernor::exhaust(BudgetReason reason, bool hard) {
-  BudgetReason expected = BudgetReason::kNone;
-  // First condition wins and sticks; a later (even harder) condition does
-  // not rewrite the reason, but it may still raise the abort flag.
-  //
-  // Release ordering throughout: exhaust() may run on the watchdog thread
-  // while workers poll abort_flag() between items. The abort store is the
-  // publication point — a worker's acquire load of abort_ (thread pool) or
-  // of reason_/hard_ (engine accessors) must observe the reason and hard
-  // bit written before it, otherwise the engine could see "aborted" with a
-  // stale kNone reason and misreport the truncation.
-  reason_.compare_exchange_strong(expected, reason,
-                                  std::memory_order_release,
-                                  std::memory_order_relaxed);
-  if (hard) {
-    hard_.store(true, std::memory_order_release);
-    abort_.store(true, std::memory_order_release);
-  }
-}
-
 BudgetReason RunGovernor::checkpoint(std::size_t work_done) {
-  const std::uint64_t check_index =
-      checks_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (hook_ != nullptr) hook_->on_checkpoint(check_index, work_done);
+  ++checks_;
   // Sticky: once exhausted, later checkpoints report the same reason so
   // every caller truncates at one consistent point.
-  BudgetReason current = reason_.load(std::memory_order_relaxed);
-  if (current != BudgetReason::kNone) return current;
-
+  if (reason_ != BudgetReason::kNone) return reason_;
   if (external_ != nullptr && external_->cancelled()) {
-    exhaust(BudgetReason::kCancelled, external_->hard());
-    return reason();
+    reason_ = BudgetReason::kCancelled;
+  } else if (budget_.max_waveform_calcs > 0 &&
+             work_done >= budget_.max_waveform_calcs) {
+    reason_ = BudgetReason::kWaveformCalcs;
+  } else if (budget_.deadline_ms > 0.0 &&
+             elapsed_seconds() * 1e3 >= budget_.deadline_ms) {
+    reason_ = BudgetReason::kDeadline;
   }
-  if (budget_.max_waveform_calcs > 0 &&
-      work_done >= budget_.max_waveform_calcs) {
-    exhaust(BudgetReason::kWaveformCalcs, false);
-    return reason();
-  }
-  if (budget_.deadline_ms > 0.0 &&
-      elapsed_seconds() * 1e3 >= budget_.deadline_ms) {
-    exhaust(BudgetReason::kDeadline, false);
-    return reason();
-  }
-  if (budget_.soft_memory_bytes > 0 || budget_.hard_memory_bytes > 0) {
-    const std::size_t rss = current_rss_bytes();
-    if (budget_.hard_memory_bytes > 0 && rss > budget_.hard_memory_bytes) {
-      exhaust(BudgetReason::kHardMemory, true);
-      return reason();
-    }
-    if (budget_.soft_memory_bytes > 0 && rss > budget_.soft_memory_bytes) {
-      exhaust(BudgetReason::kSoftMemory, false);
-      return reason();
-    }
-  }
-  return BudgetReason::kNone;
-}
-
-void RunGovernor::watchdog_main() {
-  // Coarse polling is enough: the flag only short-circuits work that is
-  // about to be thrown away. 10 ms keeps the thread invisible in profiles.
-  while (!watchdog_stop_.load(std::memory_order_relaxed)) {
-    if (external_ != nullptr && external_->cancelled() && external_->hard()) {
-      exhaust(BudgetReason::kCancelled, true);
-    }
-    if (budget_.hard_memory_bytes > 0 &&
-        current_rss_bytes() > budget_.hard_memory_bytes) {
-      exhaust(BudgetReason::kHardMemory, true);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
+  return reason_;
 }
 
 }  // namespace xtalk::util

@@ -96,12 +96,7 @@ void ThreadPool::run_loop(std::size_t thread_id) {
     }
   }
   const LoopFn& fn = *fn_;
-  const std::atomic<bool>* abort = abort_;
   for (;;) {
-    // Acquire pairs with the release store in RunGovernor::exhaust(): a
-    // thread that sees the abort also sees the sticky reason/hard bit
-    // written before it.
-    if (abort != nullptr && abort->load(std::memory_order_acquire)) break;
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= end_) break;
     try {
@@ -140,8 +135,7 @@ void ThreadPool::worker_main(std::size_t thread_id) {
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const LoopFn& fn,
-                              const std::atomic<bool>* abort) {
+                              const LoopFn& fn) {
   if (begin >= end) return;
   DispatchGuard in_dispatch(in_dispatch_);
   const bool timed = timing_enabled_.load(std::memory_order_relaxed);
@@ -151,11 +145,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   if (workers_.empty()) {
     const std::uint64_t t_enter = timed ? monotonic_ns() : 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      // Acquire: pairs with RunGovernor::exhaust() (see run_loop).
-      if (abort != nullptr && abort->load(std::memory_order_acquire)) break;
-      fn(i, 0);
-    }
+    for (std::size_t i = begin; i < end; ++i) fn(i, 0);
     if (timed) {
       busy_ns_[0].fetch_add(monotonic_ns() - t_enter,
                             std::memory_order_relaxed);
@@ -165,7 +155,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
-    abort_ = abort;
     end_ = end;
     next_.store(begin, std::memory_order_relaxed);
     workers_running_ = workers_.size();
@@ -195,7 +184,6 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     }
   }
   fn_ = nullptr;
-  abort_ = nullptr;
   if (first_error_) {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;

@@ -47,19 +47,10 @@ class ThreadPool {
 
   /// Run fn(i, thread_id) for every i in [begin, end), blocking until all
   /// iterations finished. Exceptions thrown by fn are captured and the
-  /// first one is rethrown on the calling thread after the barrier.
-  ///
-  /// `abort` (optional, borrowed) is polled between indices with acquire
-  /// ordering — paired with the release store in RunGovernor::exhaust(), so
-  /// a worker that observes the flag also observes everything the raiser
-  /// published before it (the sticky reason, the hard bit). Once it reads
-  /// true, workers stop claiming new indices and the loop returns early
-  /// with iterations unprocessed. This is reserved for hard-cancellation
-  /// paths (run governor hard memory cap / hard CancelToken) where the
-  /// caller is about to abandon the whole result — a soft budget must
-  /// instead let the level finish to keep anytime results deterministic.
-  void parallel_for(std::size_t begin, std::size_t end, const LoopFn& fn,
-                    const std::atomic<bool>* abort = nullptr);
+  /// first one is rethrown on the calling thread after the barrier. Every
+  /// index runs: the engine's budget is checked between loops, never
+  /// inside one, so a loop that starts also finishes.
+  void parallel_for(std::size_t begin, std::size_t end, const LoopFn& fn);
 
   /// Map a user-facing thread-count request to an actual count:
   /// 0 = std::thread::hardware_concurrency(), otherwise the value itself
@@ -121,7 +112,6 @@ class ThreadPool {
 
   // State of the loop in flight (valid while a generation is active).
   const LoopFn* fn_ = nullptr;
-  const std::atomic<bool>* abort_ = nullptr;
   std::size_t end_ = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t workers_running_ = 0;

@@ -291,8 +291,11 @@ TEST(Mcmm, GovernorTruncatedScenariosRemainConservativePerScenario) {
       ASSERT_NE(it, converged.end());
       EXPECT_GE(e.arrival, it->second) << "net " << e.net;
     }
-    if (truncated.budget.exhausted) {
-      EXPECT_TRUE(truncated.budget.conservative);
+    // Every endpoint the truncation cut off carries no arrival.
+    for (const netlist::NetId net : truncated.budget.untimed_endpoints) {
+      for (const EndpointArrival& e : truncated.endpoints) {
+        EXPECT_NE(e.net, net) << "untimed net " << net << " has an arrival";
+      }
     }
   }
   // The tiny budget actually bites at least one scenario — otherwise this

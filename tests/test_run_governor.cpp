@@ -1,5 +1,5 @@
-// Run governance: deadlines, memory budgets, cooperative cancellation and
-// the *anytime* contract. A truncated run must (a) be bitwise identical at
+// Run governance: deadlines, waveform-calc caps, cooperative cancellation
+// and the *anytime* contract. A truncated run must (a) be bitwise identical at
 // any thread count — the governor only decides at serial checkpoints —,
 // (b) never report an endpoint arrival below the fully-converged arrival
 // of the same mode, and (c) list every endpoint it could not time instead
@@ -8,20 +8,17 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <limits>
 #include <map>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/crosstalk_sta.hpp"
 #include "netlist/circuit_generator.hpp"
-#include "sim/transient.hpp"
 #include "sta/engine.hpp"
 #include "sta/incremental/editor.hpp"
 #include "sta/incremental/incremental_sta.hpp"
-#include "util/diag.hpp"
 
 namespace xtalk::sta {
 namespace {
@@ -106,7 +103,6 @@ void expect_conservative(const StaResult& truncated, const StaResult& full) {
     EXPECT_TRUE(timed.count(ep.net) == 1 || untimed.count(ep.net) == 1)
         << "net " << ep.net << " vanished from the truncated result";
   }
-  EXPECT_TRUE(truncated.budget.conservative);
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +133,6 @@ TEST(RunGovernor, CalcCapIsStickyFirstReasonWins) {
   token.request();
   EXPECT_EQ(gov.checkpoint(10), util::BudgetReason::kWaveformCalcs);
   EXPECT_EQ(gov.reason(), util::BudgetReason::kWaveformCalcs);
-  EXPECT_FALSE(gov.hard_exhausted());
 }
 
 TEST(RunGovernor, StartIsIdempotentUntilFinish) {
@@ -155,26 +150,27 @@ TEST(RunGovernor, StartIsIdempotentUntilFinish) {
   EXPECT_EQ(gov.checks(), 0u);
 }
 
-TEST(RunGovernor, HardCancelRaisesAbortFlag) {
-  util::CancelToken token;
-  util::RunGovernor gov(util::RunBudget{}, &token);
+TEST(RunGovernor, DeadlineFiresOnceTheClockPassesIt) {
+  util::RunBudget budget;
+  budget.deadline_ms = 1.0;
+  util::RunGovernor gov(budget);
   gov.start();
-  EXPECT_EQ(gov.checkpoint(0), util::BudgetReason::kNone);
-  token.request(/*hard=*/true);
-  EXPECT_EQ(gov.checkpoint(0), util::BudgetReason::kCancelled);
-  EXPECT_TRUE(gov.hard_exhausted());
-  EXPECT_TRUE(gov.abort_flag().load());
-  token.reset();
-  EXPECT_FALSE(token.cancelled());
+  // Wait on the governor's own clock (a condition, not a sleep).
+  while (gov.elapsed_seconds() * 1e3 < budget.deadline_ms) {
+  }
+  EXPECT_EQ(gov.checkpoint(0), util::BudgetReason::kDeadline);
+  EXPECT_EQ(gov.checkpoint(0), util::BudgetReason::kDeadline);
+  EXPECT_EQ(gov.checks(), 2u);
 }
 
-TEST(RunGovernor, ReasonAndPolicyNamesAreStable) {
+TEST(RunGovernor, ReasonNamesAreStable) {
+  EXPECT_STREQ(util::budget_reason_name(util::BudgetReason::kNone), "none");
   EXPECT_STREQ(util::budget_reason_name(util::BudgetReason::kDeadline),
                "deadline");
   EXPECT_STREQ(util::budget_reason_name(util::BudgetReason::kWaveformCalcs),
                "waveform-calcs");
-  EXPECT_STREQ(util::budget_policy_name(util::BudgetPolicy::kAnytime),
-               "anytime");
+  EXPECT_STREQ(util::budget_reason_name(util::BudgetReason::kCancelled),
+               "cancelled");
 }
 
 // ---------------------------------------------------------------------------
@@ -202,10 +198,6 @@ TEST(GovernedSta, UnlimitedBudgetIsBitwiseIdenticalToUngoverned) {
 TEST(GovernedSta, InvalidBudgetsAreRejected) {
   StaOptions opt = governed_options(AnalysisMode::kOneStep, 1);
   opt.budget.deadline_ms = -1.0;
-  EXPECT_THROW(governed_design().run(opt), std::invalid_argument);
-  opt.budget.deadline_ms = 0.0;
-  opt.budget.soft_memory_bytes = 2048;
-  opt.budget.hard_memory_bytes = 1024;
   EXPECT_THROW(governed_design().run(opt), std::invalid_argument);
 }
 
@@ -250,58 +242,38 @@ TEST(GovernedSta, SweepingTheCalcBudgetStaysConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline: a hook burns wall-clock time at a fixed checkpoint, so the
-// deadline fires at the same serial point regardless of thread count.
+// Deadline: one already past at the first checkpoint truncates before any
+// level runs, at every thread count. Truncation at a later level goes
+// through the same checkpoint and is covered by the calc-cap tests above.
 // ---------------------------------------------------------------------------
-
-class BurnHook : public util::GovernorHook {
- public:
-  explicit BurnHook(std::uint64_t fire_at) : fire_at_(fire_at) {}
-  void on_checkpoint(std::uint64_t check_index, std::size_t) override {
-    if (check_index == fire_at_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    }
-  }
-
- private:
-  std::uint64_t fire_at_;
-};
 
 TEST(GovernedSta, DeadlineTruncationIsDeterministicAcrossThreadCounts) {
-  std::vector<StaResult> results;
-  for (const int threads : {1, 4}) {
-    StaOptions opt = governed_options(AnalysisMode::kOneStep, threads);
-    opt.budget.deadline_ms = 400.0;
-    BurnHook hook(/*fire_at=*/3);
-    opt.governor_hook = &hook;
-    results.push_back(governed_design().run(opt));
-    const StaResult& r = results.back();
-    EXPECT_TRUE(r.budget.exhausted);
-    EXPECT_EQ(r.budget.reason, util::BudgetReason::kDeadline);
-    EXPECT_LT(r.budget.completed_levels, r.budget.total_levels);
+  for (const AnalysisMode mode :
+       {AnalysisMode::kOneStep, AnalysisMode::kIterative}) {
+    std::vector<StaResult> results;
+    for (const int threads : {1, 4}) {
+      StaOptions opt = governed_options(mode, threads);
+      // Any elapsed time at all exceeds the smallest positive deadline.
+      opt.budget.deadline_ms = std::numeric_limits<double>::min();
+      results.push_back(governed_design().run(opt));
+      const StaResult& r = results.back();
+      EXPECT_TRUE(r.budget.exhausted);
+      EXPECT_EQ(r.budget.reason, util::BudgetReason::kDeadline);
+      EXPECT_EQ(r.budget.completed_passes, 0);
+      EXPECT_EQ(r.budget.completed_levels, 0u);
+      EXPECT_EQ(r.waveform_calculations, 0u);
+      EXPECT_TRUE(r.endpoints.empty());
+      EXPECT_FALSE(r.budget.untimed_endpoints.empty());
+    }
+    expect_identical(results[0], results[1]);
+    const StaResult full = governed_design().run(governed_options(mode, 1));
+    expect_conservative(results[0], full);
   }
-  expect_identical(results[0], results[1]);
-  const StaResult full =
-      governed_design().run(governed_options(AnalysisMode::kOneStep, 1));
-  expect_conservative(results[0], full);
 }
 
 // ---------------------------------------------------------------------------
-// Policy and cancellation semantics
+// Cancellation
 // ---------------------------------------------------------------------------
-
-TEST(GovernedSta, StrictPolicyThrowsInsteadOfTruncating) {
-  StaOptions opt = governed_options(AnalysisMode::kOneStep, 2);
-  opt.budget.max_waveform_calcs = 1;
-  opt.budget.policy = util::BudgetPolicy::kStrictBudget;
-  try {
-    governed_design().run(opt);
-    FAIL() << "expected util::DiagError";
-  } catch (const util::DiagError& e) {
-    EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
-    EXPECT_EQ(e.diagnostic().severity, util::Severity::kError);
-  }
-}
 
 TEST(GovernedSta, SoftCancelReturnsEmptyAnytimeResult) {
   StaOptions opt = governed_options(AnalysisMode::kIterative, 2);
@@ -321,88 +293,6 @@ TEST(GovernedSta, SoftCancelReturnsEmptyAnytimeResult) {
     EXPECT_FALSE(r.timing[net].event(true).valid) << "net " << net;
     EXPECT_FALSE(r.timing[net].event(false).valid) << "net " << net;
   }
-}
-
-// Arms a one-shot timer at a fixed serial checkpoint that requests a hard
-// cancel from another thread a few milliseconds later — while worker
-// threads are busy inside a dispatch. The governor's watchdog (10 ms poll)
-// turns it into the abort flag the pool polls between items, so this
-// exercises the full hard-abort publication chain concurrently with
-// running workers: CancelToken -> watchdog exhaust() (release stores) ->
-// pool abort poll (acquire) -> engine throw. The ThreadSanitizer smoke
-// preset (tsan-smoke) runs this under race detection.
-class HardCancelTimerHook : public util::GovernorHook {
- public:
-  HardCancelTimerHook(util::CancelToken* token, std::uint64_t fire_at)
-      : token_(token), fire_at_(fire_at) {}
-  ~HardCancelTimerHook() override {
-    if (timer_.joinable()) timer_.join();
-  }
-  void on_checkpoint(std::uint64_t check_index, std::size_t) override {
-    if (check_index != fire_at_ || timer_.joinable()) return;
-    timer_ = std::thread([token = token_] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(15));
-      token->request(/*hard=*/true);
-    });
-  }
-
- private:
-  util::CancelToken* token_;
-  std::uint64_t fire_at_;
-  std::thread timer_;
-};
-
-TEST(GovernedSta, HardCancelMidDispatchAborts) {
-  StaOptions opt = governed_options(AnalysisMode::kIterative, 4);
-  util::CancelToken token;
-  HardCancelTimerHook hook(&token, /*fire_at=*/2);
-  opt.cancel = &token;
-  opt.governor_hook = &hook;
-  try {
-    governed_design().run(opt);
-    FAIL() << "expected util::DiagError";
-  } catch (const util::DiagError& e) {
-    EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
-    EXPECT_EQ(e.diagnostic().severity, util::Severity::kError);
-  }
-}
-
-TEST(GovernedSta, HardCancelAlwaysThrows) {
-  StaOptions opt = governed_options(AnalysisMode::kOneStep, 2);
-  util::CancelToken token;
-  token.request(/*hard=*/true);
-  opt.cancel = &token;
-  try {
-    governed_design().run(opt);
-    FAIL() << "expected util::DiagError";
-  } catch (const util::DiagError& e) {
-    EXPECT_EQ(e.diagnostic().code, util::DiagCode::kBudgetExhausted);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Memory budgets (RSS polling; inert where /proc/self/statm is missing)
-// ---------------------------------------------------------------------------
-
-TEST(GovernedSta, TinySoftMemoryCapTruncatesAnytimeStyle) {
-  if (util::RunGovernor::current_rss_bytes() == 0) {
-    GTEST_SKIP() << "platform exposes no RSS; memory caps are inert";
-  }
-  StaOptions opt = governed_options(AnalysisMode::kOneStep, 2);
-  opt.budget.soft_memory_bytes = 1;  // any live process exceeds this
-  const StaResult r = governed_design().run(opt);
-  EXPECT_TRUE(r.budget.exhausted);
-  EXPECT_EQ(r.budget.reason, util::BudgetReason::kSoftMemory);
-  EXPECT_EQ(r.budget.completed_levels, 0u);
-}
-
-TEST(GovernedSta, TinyHardMemoryCapThrows) {
-  if (util::RunGovernor::current_rss_bytes() == 0) {
-    GTEST_SKIP() << "platform exposes no RSS; memory caps are inert";
-  }
-  StaOptions opt = governed_options(AnalysisMode::kOneStep, 2);
-  opt.budget.hard_memory_bytes = 1;
-  EXPECT_THROW(governed_design().run(opt), util::DiagError);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,61 +321,6 @@ TEST(GovernedSta, IncrementalTruncationMatchesScratchAndDropsBaseline) {
   EXPECT_TRUE(inc.stats().full_run);
   EXPECT_EQ(second.gates_reused, 0u);
   expect_identical(first, second);
-}
-
-// ---------------------------------------------------------------------------
-// Transient solver: the same governor bounds the inner simulator
-// ---------------------------------------------------------------------------
-
-sim::Circuit rc_circuit(sim::NodeId* out_node) {
-  sim::Circuit ckt;
-  const sim::NodeId in = ckt.add_node("in");
-  const sim::NodeId out = ckt.add_node("out");
-  ckt.add_vsource(in, util::Pwl::step(0.1e-9, 0.0, 1.0, 1e-12));
-  ckt.add_resistor(in, out, 1000.0);
-  ckt.add_capacitor(out, ckt.ground(), 100e-15);
-  *out_node = out;
-  return ckt;
-}
-
-TEST(GovernedTransient, SoftCancelTruncatesTheSimulation) {
-  sim::NodeId out = 0;
-  const sim::Circuit ckt = rc_circuit(&out);
-  util::CancelToken token;
-  token.request();
-  util::RunGovernor gov(util::RunBudget{}, &token);
-  gov.start();
-  util::DiagSink sink;
-  sim::TransientOptions opt;
-  opt.tstop = 1e-9;
-  opt.dt = 0.5e-12;
-  opt.governor = &gov;
-  opt.sink = &sink;
-  const sim::TransientResult r =
-      sim::simulate(ckt, device::DeviceTableSet::half_micron(), opt);
-  ASSERT_GE(r.num_steps(), 1u);  // the DC point is always recorded
-  EXPECT_LT(r.times().back(), opt.tstop / 2);
-  std::size_t budget_diags = 0;
-  for (const util::Diagnostic& d : sink.snapshot()) {
-    if (d.code == util::DiagCode::kBudgetExhausted) ++budget_diags;
-  }
-  EXPECT_GE(budget_diags, 1u);
-}
-
-TEST(GovernedTransient, StrictPolicyThrowsOnExhaustion) {
-  sim::NodeId out = 0;
-  const sim::Circuit ckt = rc_circuit(&out);
-  util::RunBudget budget;
-  budget.policy = util::BudgetPolicy::kStrictBudget;
-  util::CancelToken token;
-  token.request();
-  util::RunGovernor gov(budget, &token);
-  gov.start();
-  sim::TransientOptions opt;
-  opt.tstop = 1e-9;
-  opt.governor = &gov;
-  EXPECT_THROW(sim::simulate(ckt, device::DeviceTableSet::half_micron(), opt),
-               util::DiagError);
 }
 
 }  // namespace

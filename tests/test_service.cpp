@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +35,34 @@ DesignSession& shared_session() {
   static DesignSession* session = new DesignSession(
       core::Design::generate(netlist::scaled_spec("svc", 17, 150, 8)), "svc");
   return *session;
+}
+
+/// The local, unbudgeted run of `spec` on the shared design.
+sta::StaResult local_unbudgeted(RunSpec spec) {
+  spec.deadline_ms = 0.0;
+  spec.max_waveform_calcs = 0;
+  return sta::run_sta(shared_session().view(), spec.to_options());
+}
+
+/// The anytime contract of a remote run: every endpoint arrival it reports
+/// is at least the unbudgeted local arrival of the same (net, edge), and
+/// every endpoint it lists as untimed carries no arrival.
+void expect_conservative(const RunResultMsg& remote,
+                         const sta::StaResult& full) {
+  std::map<std::pair<std::uint32_t, bool>, double> converged;
+  for (const sta::EndpointArrival& e : full.endpoints) {
+    converged[{e.net, e.rising}] = e.arrival;
+  }
+  for (const WireEndpoint& e : remote.endpoints) {
+    const auto it = converged.find({e.net, e.rising});
+    ASSERT_NE(it, converged.end()) << "net " << e.net;
+    EXPECT_GE(e.arrival, it->second) << "net " << e.net;
+  }
+  for (const std::uint32_t net : remote.untimed_endpoints) {
+    for (const WireEndpoint& e : remote.endpoints) {
+      EXPECT_NE(e.net, net) << "untimed net " << net << " has an arrival";
+    }
+  }
 }
 
 /// Server + connected client for one test.
@@ -77,7 +106,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   spec.timing_windows = true;
   spec.deadline_ms = 125.0;
   spec.max_waveform_calcs = 4242;
-  spec.budget_policy = util::BudgetPolicy::kStrictBudget;
   spec.trace_path = "/tmp/trace.json";
   spec.scenario.name = "ff_derated";
   spec.scenario.vdd_scale = 1.1;
@@ -102,7 +130,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   EXPECT_EQ(decoded.timing_windows, spec.timing_windows);
   EXPECT_TRUE(bits_equal(decoded.deadline_ms, spec.deadline_ms));
   EXPECT_EQ(decoded.max_waveform_calcs, spec.max_waveform_calcs);
-  EXPECT_EQ(decoded.budget_policy, spec.budget_policy);
   EXPECT_EQ(decoded.trace_path, spec.trace_path);
   EXPECT_EQ(decoded.scenario.name, spec.scenario.name);
   EXPECT_TRUE(bits_equal(decoded.scenario.vdd_scale, spec.scenario.vdd_scale));
@@ -124,6 +151,52 @@ std::vector<std::uint8_t> with_process_byte(const RunSpec& spec,
   std::vector<std::uint8_t> bytes(w.data().begin(), w.data().end() - 1);
   bytes.push_back(process_byte);
   return bytes;
+}
+
+TEST(Protocol, RunResultRoundTripsThroughWire) {
+  RunResultMsg m;
+  m.longest_path_delay = 3.25e-9;
+  m.critical = {7, false, 3.25e-9};
+  m.endpoints = {{7, false, 3.25e-9}, {9, true, 1.5e-9}};
+  m.passes = 2;
+  m.waveform_calculations = 1234;
+  m.gates_reused = 56;
+  m.runtime_seconds = 0.125;
+  m.threads_used = 3;
+  m.missing_sink_wires = 1;
+  m.budget_exhausted = true;
+  m.budget_reason = static_cast<std::uint8_t>(util::BudgetReason::kCancelled);
+  m.completed_passes = 1;
+  m.completed_levels = 4;
+  m.total_levels = 8;
+  m.governor_checks = 11;
+  m.untimed_endpoints = {11, 12};
+  m.diagnostics_dropped = 2;
+  WireDiagnostic d;
+  d.code = 3;
+  d.severity = 1;
+  d.gate = 5;
+  d.net = -1;
+  d.level = 2;
+  d.pass = 1;
+  d.message = "degraded";
+  m.diagnostics.push_back(d);
+  m.trace_path = "/tmp/trace.r1.json";
+
+  util::WireWriter w;
+  m.encode(w);
+  util::WireReader r(w.data());
+  RunResultMsg decoded;
+  ASSERT_TRUE(decoded.decode(r));
+  ASSERT_TRUE(r.finish());
+  util::WireWriter again;
+  decoded.encode(again);
+  EXPECT_EQ(again.data(), w.data());
+  EXPECT_EQ(decoded.budget_reason, m.budget_reason);
+  EXPECT_EQ(decoded.untimed_endpoints, m.untimed_endpoints);
+  EXPECT_EQ(decoded.governor_checks, m.governor_checks);
+  ASSERT_EQ(decoded.diagnostics.size(), 1u);
+  EXPECT_EQ(decoded.diagnostics[0].message, d.message);
 }
 
 TEST(Protocol, RunSpecRejectsOutOfRangeEnums) {
@@ -528,11 +601,10 @@ TEST(Service, BudgetedRunTruncatesBitwiseLikeALocalBudgetedRun) {
   XtalkClient client = fx.connect();
   RunSpec spec;
   spec.max_waveform_calcs = 60;  // far below the design's full cost
-  spec.budget_policy = util::BudgetPolicy::kAnytime;
   const RunResultMsg remote = client.run_sta(spec);
   EXPECT_TRUE(remote.budget_exhausted);
-  EXPECT_TRUE(remote.conservative);
   EXPECT_FALSE(remote.untimed_endpoints.empty());
+  expect_conservative(remote, local_unbudgeted(spec));
 
   const sta::StaResult local =
       sta::run_sta(shared_session().view(), spec.to_options());
@@ -566,6 +638,7 @@ TEST(Service, OverloadDegradesIntoConservativeAnytimeResults) {
   b.send_frame(MsgType::kRunSta, 1, body);
   c.send_frame(MsgType::kRunSta, 1, body);
 
+  const sta::StaResult full = local_unbudgeted(spec);
   std::size_t truncated = 0;
   for (XtalkClient* client : {&a, &b, &c}) {
     FrameView reply = client->recv_frame();
@@ -576,7 +649,7 @@ TEST(Service, OverloadDegradesIntoConservativeAnytimeResults) {
     if (m.budget_exhausted) {
       ++truncated;
       // The overload contract: a conservative anytime result, not an error.
-      EXPECT_TRUE(m.conservative);
+      expect_conservative(m, full);
     }
   }
   EXPECT_GT(truncated, 0u);
@@ -642,11 +715,9 @@ TEST(Service, TruncateDrainYieldsConservativeResults) {
   util::WireReader r = reply.body(client.limits());
   RunResultMsg m;
   ASSERT_TRUE(m.decode(r));
-  // Depending on timing the run either finished or was soft-cancelled; a
-  // cancelled run must still be a conservative anytime result.
-  if (m.budget_exhausted) {
-    EXPECT_TRUE(m.conservative);
-  }
+  // Depending on timing the run either finished or was cancelled; either
+  // way it is a conservative anytime result.
+  expect_conservative(m, local_unbudgeted(spec));
   fx.server.join();
 }
 
