@@ -16,7 +16,6 @@
 #include "table_common.hpp"
 #include "util/pwl.hpp"
 #include "util/table.hpp"
-#include "util/trace.hpp"
 
 using namespace xtalk;
 
@@ -177,28 +176,6 @@ void BM_ArcFullPair(benchmark::State& state) {
 }
 BENCHMARK(BM_ArcFullPair)->Arg(0)->Arg(1);
 
-// Tracing overhead when disabled: a TraceSpan against a null buffer must
-// cost one pointer test on construction and destruction. Compare against
-// BM_StageWaveform to bound the relative overhead of instrumenting the
-// waveform-calc hot path (acceptance: <= 1%).
-void BM_TraceSpanDisabled(benchmark::State& state) {
-  util::TraceBuffer* buf = nullptr;
-  for (auto _ : state) {
-    util::TraceSpan span(buf, "bench.disabled", "arg", 1);
-    benchmark::DoNotOptimize(&span);
-  }
-}
-BENCHMARK(BM_TraceSpanDisabled);
-
-void BM_TraceSpanEnabled(benchmark::State& state) {
-  util::TraceBuffer buf(1 << 12);
-  for (auto _ : state) {
-    util::TraceSpan span(&buf, "bench.enabled", "arg", 1);
-    benchmark::DoNotOptimize(&span);
-  }
-}
-BENCHMARK(BM_TraceSpanEnabled);
-
 // One shard bump: the metrics hot path inside compute_arc.
 void BM_MetricShardAdd(benchmark::State& state) {
   sta::MetricsRegistry reg(1);
@@ -208,26 +185,6 @@ void BM_MetricShardAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(reg.counter_total(sta::EngineCounter::kBeSteps));
 }
 BENCHMARK(BM_MetricShardAdd);
-
-// The disabled-path reference kernel with instrumentation live, for the
-// <=1% acceptance comparison against plain BM_StageWaveform.
-void BM_StageWaveformTraced(benchmark::State& state) {
-  const util::Pwl vin =
-      util::Pwl::ramp(0.0, tech().vdd - tech().model_vth, 0.2e-9, 0.0);
-  delaycalc::StageDrive d;
-  d.wn_eq = 2e-6;
-  d.wp_eq = 4e-6;
-  d.vin = &vin;
-  d.output_rising = true;
-  const delaycalc::OutputLoad load{40e-15, 0.0};
-  util::TraceBuffer* buf = nullptr;  // disabled, as in a production run
-  for (auto _ : state) {
-    util::TraceSpan span(buf, "bench.stage");
-    benchmark::DoNotOptimize(
-        delaycalc::solve_stage_waveform(tables(), d, load));
-  }
-}
-BENCHMARK(BM_StageWaveformTraced);
 
 void BM_TransientInverterChain(benchmark::State& state) {
   sim::Circuit ckt;

@@ -253,7 +253,6 @@ const std::vector<std::string>& result_row_required_keys() {
       "pool_utilization",
       "pool_busy_ns",
       "pool_wait_ns",
-      "trace_events",
       "scenario",
       "scenarios_total",
       "worst_scenario",
@@ -308,7 +307,6 @@ void fill_result_row(JsonObject& row, const sta::StaResult& result,
       .set("pool_utilization", m.pool_utilization)
       .set("pool_busy_ns", m.pool_busy_ns)
       .set("pool_wait_ns", m.pool_wait_ns)
-      .set("trace_events", m.trace_events)
       .set("scenario", info.scenario)
       .set("scenarios_total", info.scenarios_total)
       .set("worst_scenario", info.worst_scenario);

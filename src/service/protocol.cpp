@@ -118,15 +118,11 @@ sta::StaOptions RunSpec::to_options() const {
   o.fault_policy = fault_policy;
   o.budget.deadline_ms = deadline_ms;
   o.budget.max_waveform_calcs = static_cast<std::size_t>(max_waveform_calcs);
-  o.collect_metrics = collect_metrics;
-  o.trace_path = trace_path;
   return sta::apply_scenario(o, scenario);
 }
 
 std::string RunSpec::cache_key() const {
   RunSpec numeric = *this;
-  numeric.trace_path.clear();
-  numeric.collect_metrics = false;
   if (numeric.scenario.override_mode) numeric.mode = numeric.scenario.mode;
   numeric.scenario.override_mode = false;
   numeric.scenario.mode = sta::Scenario{}.mode;
@@ -150,8 +146,6 @@ void RunSpec::encode(util::WireWriter& w) const {
   w.u8(static_cast<std::uint8_t>(fault_policy));
   w.f64(deadline_ms);
   w.u64(max_waveform_calcs);
-  w.boolean(collect_metrics);
-  w.str(trace_path);
   encode_scenario(w, scenario);
 }
 
@@ -173,8 +167,6 @@ bool RunSpec::decode(util::WireReader& r) {
   fault_policy = static_cast<util::FaultPolicy>(v);
   if (!r.f64(&deadline_ms)) return false;
   if (!r.u64(&max_waveform_calcs)) return false;
-  if (!r.boolean(&collect_metrics)) return false;
-  if (!r.str(&trace_path)) return false;
   return decode_scenario(r, &scenario);
 }
 
@@ -333,7 +325,6 @@ void RunResultMsg::encode(util::WireWriter& w) const {
     w.i32(d.pass);
     w.str(d.message);
   }
-  w.str(trace_path);
 }
 
 bool RunResultMsg::decode(util::WireReader& r) {
@@ -370,7 +361,7 @@ bool RunResultMsg::decode(util::WireReader& r) {
     if (!r.i32(&d.pass)) return false;
     if (!r.str(&d.message)) return false;
   }
-  return r.str(&trace_path);
+  return true;
 }
 
 RunResultMsg RunResultMsg::from_result(const sta::StaResult& result) {
@@ -538,18 +529,6 @@ bool read_prologue(util::WireReader& r, MsgType* type,
   }
   *type = static_cast<MsgType>(t);
   return r.u32(request_id);
-}
-
-std::string qualified_trace_path(const std::string& path,
-                                 std::uint64_t request_id) {
-  if (path.empty()) return path;
-  const std::string suffix = "-req" + std::to_string(request_id);
-  const std::string ext = ".json";
-  if (path.size() > ext.size() &&
-      path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
-    return path.substr(0, path.size() - ext.size()) + suffix + ext;
-  }
-  return path + suffix;
 }
 
 }  // namespace xtalk::service

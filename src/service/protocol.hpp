@@ -38,7 +38,10 @@ namespace xtalk::service {
 /// v8: one soft budget: RunSpec dropped its budget-policy byte and
 /// RunResultMsg its always-true `conservative` flag; the budget-reason
 /// byte lost the two memory reasons (deadline 1, calcs 2, cancelled 3).
-inline constexpr std::uint32_t kProtocolVersion = 8;
+/// v9: RunSpec dropped its metrics flag and its trace-file path, and
+/// RunResultMsg the path echo: the service neither returns metrics nor
+/// writes files.
+inline constexpr std::uint32_t kProtocolVersion = 9;
 /// Frame header size on the socket (payload length prefix).
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
@@ -106,10 +109,7 @@ struct HelloMsg {
 };
 
 /// The numeric identity of an analysis request: every StaOptions field that
-/// can change a computed value, plus per-request observability
-/// (collect_metrics, trace_path — the server qualifies the path with the
-/// request id before running, so two concurrent requests never clobber
-/// each other's trace file).
+/// can change a computed value.
 /// num_threads is deliberately absent: results are thread-count invariant
 /// and the executor's long-lived pool decides the width.
 struct RunSpec {
@@ -128,8 +128,6 @@ struct RunSpec {
   /// further under overload (anytime truncation, never an error).
   double deadline_ms = 0.0;
   std::uint64_t max_waveform_calcs = 0;
-  bool collect_metrics = false;
-  std::string trace_path;
   /// The analysis scenario: corner (process, V/T) the session derives its
   /// device model for, coupling derate, optional mode override, and the
   /// name reports use. The default is the nominal scenario.
@@ -141,8 +139,7 @@ struct RunSpec {
   sta::StaOptions to_options() const;
   /// Cache key for baseline result sharing: the encoded numeric fields of
   /// the effective spec — the mode override folded into `mode` and
-  /// cleared, trace_path/collect_metrics excluded (observability never
-  /// changes numbers) — so two specs naming one analysis memoize once.
+  /// cleared — so two specs naming one analysis memoize once.
   std::string cache_key() const;
 
   void encode(util::WireWriter& w) const;
@@ -236,8 +233,7 @@ struct WireDiagnostic {
 /// The StaResult summary the service ships: everything a client needs to
 /// reproduce reports and check the bitwise contract — scalar results, the
 /// critical endpoint, *all* endpoint arrivals, the governor's anytime
-/// status, diagnostics, and the qualified trace path the server actually
-/// wrote (empty when tracing was off). Per-net waveforms stay server-side.
+/// status and diagnostics. Per-net waveforms stay server-side.
 struct RunResultMsg {
   double longest_path_delay = 0.0;
   WireEndpoint critical;
@@ -259,13 +255,11 @@ struct RunResultMsg {
   // Diagnostics (deterministic order, possibly truncated by the sink cap).
   std::uint64_t diagnostics_dropped = 0;
   std::vector<WireDiagnostic> diagnostics;
-  // Observability echo.
-  std::string trace_path;  ///< request-id-qualified path the server wrote
 
   void encode(util::WireWriter& w) const;
   bool decode(util::WireReader& r);
 
-  /// Summarize an engine result (trace_path filled by the caller).
+  /// Summarize an engine result.
   static RunResultMsg from_result(const sta::StaResult& result);
 };
 
@@ -350,11 +344,5 @@ std::vector<std::uint8_t> make_frame(MsgType type, std::uint32_t request_id,
 /// at the body. Returns false (reader poisoned) on a bad type byte.
 bool read_prologue(util::WireReader& r, MsgType* type,
                    std::uint32_t* request_id);
-
-/// Qualify a trace path with the request id so concurrent requests sharing
-/// one StaOptions::trace_path never clobber each other: inserts "-req<id>"
-/// before a trailing ".json", appends it otherwise. Empty stays empty.
-std::string qualified_trace_path(const std::string& path,
-                                 std::uint64_t request_id);
 
 }  // namespace xtalk::service

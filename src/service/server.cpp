@@ -617,14 +617,12 @@ void XtalkServer::handle_run_sta(Executor& ex, Connection& conn,
   admission_.admit(queue_depth, config_.default_budget, &options.budget);
   if (!stopping_.load(std::memory_order_acquire)) ex.cancel.reset();
   options.cancel = &ex.cancel;
-  if (!options.trace_path.empty()) {
-    options.trace_path = qualified_trace_path(
-        options.trace_path,
-        request_seq_.fetch_add(1, std::memory_order_relaxed));
-  }
-  const sta::StaResult result = sta::run_sta(design_.view(), options);
+  // The spec's corner: the same device model its baseline queries and ECO
+  // sessions read (the nominal corner is the base design's, untouched).
+  const std::shared_ptr<const sta::ScenarioContext> ctx = design_.corner(spec);
+  const sta::StaResult result =
+      sta::run_sta(ctx->view(design_.view()), options);
   RunResultMsg m = RunResultMsg::from_result(result);
-  m.trace_path = options.trace_path;
   if (m.budget_exhausted)
     requests_truncated_.fetch_add(1, std::memory_order_relaxed);
   util::WireWriter body;

@@ -224,7 +224,6 @@ class XtalkServer {
 
   // Stats.
   std::chrono::steady_clock::time_point start_time_;
-  std::atomic<std::uint64_t> request_seq_{0};  ///< trace-path qualification
   std::atomic<std::uint64_t> requests_total_{0};
   std::atomic<std::uint64_t> requests_ok_{0};
   std::atomic<std::uint64_t> requests_error_{0};

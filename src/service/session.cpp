@@ -17,13 +17,9 @@ std::shared_ptr<const sta::StaResult> DesignSession::baseline(
   // specs; serializing the occasional fill is simpler and keeps exactly one
   // engine per spec (two concurrent fills would produce bitwise-identical
   // results anyway, but waste a full run).
-  RunSpec numeric = spec;
-  numeric.trace_path.clear();  // cache entries are shared; no per-request file
-  numeric.collect_metrics = false;
-  sta::StaOptions options = numeric.to_options();
+  sta::StaOptions options = spec.to_options();
   options.pool = pool;
-  const std::shared_ptr<const sta::ScenarioContext> ctx =
-      corner_locked(numeric);
+  const std::shared_ptr<const sta::ScenarioContext> ctx = corner(spec);
   auto result = std::make_shared<sta::StaResult>(
       sta::run_sta(ctx->view(design_.view()), options));
   baselines_.emplace(key, result);
@@ -35,19 +31,14 @@ std::size_t DesignSession::baselines_cached() const {
   return baselines_.size();
 }
 
-std::shared_ptr<const sta::ScenarioContext> DesignSession::corner(
-    const RunSpec& spec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return corner_locked(spec);
-}
-
 std::size_t DesignSession::corners_cached() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(corner_mutex_);
   return corners_.size();
 }
 
-std::shared_ptr<const sta::ScenarioContext> DesignSession::corner_locked(
+std::shared_ptr<const sta::ScenarioContext> DesignSession::corner(
     const RunSpec& spec) {
+  std::lock_guard<std::mutex> lock(corner_mutex_);
   const bool need_nldm = spec.delay_model == sta::DelayModel::kNldm;
   const auto key = std::make_pair(sta::corner_key(spec.scenario), need_nldm);
   auto it = corners_.find(key);

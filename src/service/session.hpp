@@ -13,7 +13,9 @@
 // this under TSan). The baseline cache is mutex-guarded; a miss computes
 // the result while holding the per-session compute lock, which serializes
 // *baseline construction* (not request execution) — queries for an already
-// cached spec are a lock + shared_ptr copy.
+// cached spec are a lock + shared_ptr copy. The corner cache has its own
+// mutex, so a `run` or `eco_open` looking up its corner never waits behind
+// a baseline fill (lock order: baseline mutex, then corner mutex).
 #pragma once
 
 #include <map>
@@ -57,13 +59,11 @@ class DesignSession {
   std::size_t corners_cached() const;
 
  private:
-  std::shared_ptr<const sta::ScenarioContext> corner_locked(
-      const RunSpec& spec);
-
   core::Design design_;
   std::string name_;
-  mutable std::mutex mutex_;
+  mutable std::mutex mutex_;  ///< guards baselines_
   std::map<std::string, std::shared_ptr<const sta::StaResult>> baselines_;
+  mutable std::mutex corner_mutex_;  ///< guards corners_
   /// Corner contexts keyed on (corner, needs-NLDM); immutable once built.
   std::map<std::pair<sta::CornerKey, bool>,
            std::shared_ptr<const sta::ScenarioContext>>

@@ -42,8 +42,7 @@ void usage() {
          "                            one-step | iterative (default one-step)\n"
          "  --nldm                    table delay model\n"
          "  --deadline-ms X           per-request deadline budget\n"
-         "  --max-calcs N             per-request waveform-calc budget\n"
-         "  --trace PATH              write a Chrome trace server-side\n";
+         "  --max-calcs N             per-request waveform-calc budget\n";
 }
 
 xtalk::sta::AnalysisMode parse_mode(const std::string& m) {
@@ -91,8 +90,6 @@ int run_command(Client& client, const std::string& command,
       std::cout << "TRUNCATED (conservative anytime result, "
                 << m.untimed_endpoints.size() << " untimed endpoints)\n";
     }
-    if (!m.trace_path.empty())
-      std::cout << "trace written to " << m.trace_path << "\n";
   } else if (command == "endpoints") {
     const service::EndpointsMsg m = client.query_endpoints(spec);
     for (const service::WireEndpoint& e : m.endpoints) {
@@ -178,8 +175,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-calcs") {
       spec.max_waveform_calcs = static_cast<std::uint64_t>(
           service::parse_int_flag(arg, value(), 0, LLONG_MAX));
-    } else if (arg == "--trace") {
-      spec.trace_path = value();
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -346,12 +346,7 @@ TransientResult simulate(const Circuit& ckt,
                          const device::DeviceTableSet& tables,
                          const TransientOptions& opt) {
   Assembler asem(ckt, tables, opt);
-  util::TraceSpan run_span(opt.trace, "sim.run");
-  std::vector<double> v;
-  {
-    util::TraceSpan dc_span(opt.trace, "sim.dc");
-    v = dc_operating_point(ckt, tables, opt);
-  }
+  std::vector<double> v = dc_operating_point(ckt, tables, opt);
   for (const auto& [node, value] : ckt.initials()) v[node] = value;
 
   TransientResult result(ckt.num_nodes());

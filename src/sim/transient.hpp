@@ -15,7 +15,6 @@
 #include "util/diag.hpp"
 #include "util/fault_injection.hpp"
 #include "util/pwl.hpp"
-#include "util/trace.hpp"
 
 namespace xtalk::sim {
 
@@ -36,9 +35,6 @@ struct TransientOptions {
   /// failure, holds the previous state across the bad step (zero-order
   /// hold), and completes.
   util::FaultPolicy fault_policy = util::FaultPolicy::kStrict;
-  /// Trace buffer for "sim.dc"/"sim.run" spans (borrowed; null = no
-  /// tracing). Single-writer: the simulate() caller's thread.
-  util::TraceBuffer* trace = nullptr;
 };
 
 /// Integration-effort bookkeeping for one simulate() call. Pure counts of

@@ -18,9 +18,6 @@ namespace {
 
 /// Diagnostic sink capacity; overflow counts in StaResult::diagnostics.dropped.
 constexpr std::size_t kMaxDiagnostics = 1024;
-/// Trace ring capacity per thread [events]. Overflow drops the oldest events
-/// (counted in metrics.trace_dropped); it never blocks or reallocates.
-constexpr std::size_t kTraceEventsPerThread = 1 << 14;
 
 /// Primary-input stimulus: a full-swing ramp with the configured slew,
 /// clipped to start at the model threshold at t = 0 like every propagated
@@ -142,13 +139,9 @@ StaEngine::StaEngine(const DesignView& design, const StaOptions& options)
     pool_ = owned_pool_.get();
   }
   scratch_.resize(pool_->num_threads());
-  // Observability is decided once per engine: when off, metrics_/trace_
-  // stay null and every instrumentation site below is a null-pointer test.
-  if (!options_.trace_path.empty()) {
-    trace_ = std::make_unique<util::TraceSession>(
-        pool_->num_threads(), kTraceEventsPerThread);
-  }
-  if (options_.collect_metrics || trace_ != nullptr) {
+  // Observability is decided once per engine: when off, metrics_ stays
+  // null and every instrumentation site below is a null-pointer test.
+  if (options_.collect_metrics) {
     metrics_ = std::make_unique<MetricsRegistry>(pool_->num_threads());
     pool_->set_timing_enabled(true);
     borrowed_pool_timing_ = owned_pool_ == nullptr;
@@ -832,10 +825,9 @@ double StaEngine::run_pass(const PassConfig& config,
   const netlist::Netlist& nl = *design_.netlist;
   const device::Technology& tech = design_.tables->tech();
 
-  // Pass span and pass metrics cover the whole pass body (primary-input
-  // init, level loop, endpoint collection); the level spans below nest
-  // inside and account for nearly all of it on real designs.
-  util::TraceSpan pass_span(tbuf(0), "sta.pass", "pass", config.pass_index);
+  // Pass metrics cover the whole pass body (primary-input init, level
+  // loop, endpoint collection); the level walls below account for nearly
+  // all of it on real designs.
   if (metrics_ != nullptr) {
     metrics_->begin_pass(config.pass_index,
                          waveform_calcs_.load(std::memory_order_relaxed),
@@ -924,34 +916,20 @@ void StaEngine::run_levels(const PassConfig& config,
     // for every thread count. Exhaustion stops *before* starting the
     // level: every level that starts also finishes, keeping the computed
     // prefix bitwise identical to the same prefix of an unlimited run.
-    // The checkpoint gets its own span and metric so the level wall below
-    // measures the parallel dispatch only (Table-2 honesty; the 5%
-    // trace-vs-metrics cross-check depends on it).
-    util::BudgetReason br;
-    {
-      util::TraceSpan check_span(tbuf(0), "sta.checkpoint", "pass",
-                                 config.pass_index, "level",
-                                 static_cast<std::int64_t>(lvl));
-      const std::uint64_t c0 = metrics_ != nullptr ? util::monotonic_ns() : 0;
-      br = governor_.checkpoint(
-          waveform_calcs_.load(std::memory_order_relaxed));
-      if (metrics_ != nullptr) {
-        metrics_->add_governor_wall(
-            static_cast<double>(util::monotonic_ns() - c0) * 1e-9);
-      }
+    // The checkpoint gets its own metric so the level wall below measures
+    // the parallel dispatch only (Table-2 honesty).
+    const std::uint64_t c0 = metrics_ != nullptr ? util::monotonic_ns() : 0;
+    const util::BudgetReason br =
+        governor_.checkpoint(waveform_calcs_.load(std::memory_order_relaxed));
+    if (metrics_ != nullptr) {
+      metrics_->add_governor_wall(
+          static_cast<double>(util::monotonic_ns() - c0) * 1e-9);
     }
     if (br != util::BudgetReason::kNone) {
       status.truncated = true;
-      util::trace_instant(tbuf(0), "sta.budget_exhausted", "pass",
-                          config.pass_index,
-                          "level", static_cast<std::int64_t>(lvl));
       break;
     }
     const std::size_t level_gates = level_begin[lvl + 1] - level_begin[lvl];
-    util::TraceSpan level_span(tbuf(0), "sta.level",
-                               "level", static_cast<std::int64_t>(lvl),
-                               "gates",
-                               static_cast<std::int64_t>(level_gates));
     const std::uint64_t level_t0 =
         metrics_ != nullptr ? util::monotonic_ns() : 0;
     pool_->parallel_for(
@@ -962,7 +940,6 @@ void StaEngine::run_levels(const PassConfig& config,
     const std::uint64_t level_t1 =
         metrics_ != nullptr ? util::monotonic_ns() : 0;
     status.completed_levels = lvl + 1;
-    level_span.finish();
     if (metrics_ != nullptr) {
       metrics_->add_level(level_gates,
                           static_cast<double>(level_t1 - level_t0) * 1e-9);
@@ -1084,14 +1061,11 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
   governor_.start();
   const auto t0 = std::chrono::steady_clock::now();
   // Observability state is per run: an engine reused across runs starts
-  // from empty buffers and zeroed shards each time.
+  // from zeroed shards each time.
   if (metrics_ != nullptr) {
     metrics_->clear();
     pool_->reset_timing();
   }
-  if (trace_ != nullptr) trace_->clear();
-  util::TraceSpan run_span(tbuf(0), "sta.run", "mode",
-                           static_cast<std::int64_t>(options_.mode));
   StaResult result;
   waveform_calcs_.store(0, std::memory_order_relaxed);
   missing_sinks_.store(0, std::memory_order_relaxed);
@@ -1162,7 +1136,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       // is already gone, skipping the arrays is sound: pass 1 truncates at
       // level 0 before any gate could read them.
       if (governor_.checkpoint(0) == util::BudgetReason::kNone) {
-        util::TraceSpan early_span(tbuf(0), "sta.early_activity");
         // The early bound must see the same effective coupling caps as the
         // classification it feeds (its aiding assist scales with them).
         const EarlyTimes early = compute_early_activity(
@@ -1260,7 +1233,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
                          const std::vector<char>& active, int basis,
                          std::size_t diag_mark) {
     if (trace_out == nullptr) return;
-    util::TraceSpan span(tbuf(0), "sta.record_pass", "basis", basis);
     PassRecord rec;
     rec.timing = pass_timing;
     rec.active_gates = active;
@@ -1370,11 +1342,7 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
       report_truncation(governor_.reason(), 0, st, "bounding pass truncated");
     } else {
       record_pass(first, timing, no_mask, -1, first_mark);
-      QuietTimes quiet;
-      {
-        util::TraceSpan span(tbuf(0), "sta.collect_quiet");
-        quiet = collect_quiet(timing);
-      }
+      QuietTimes quiet = collect_quiet(timing);
       int basis = 0;  // pass whose timing supplied `quiet` and best_*
 
       // The best pass is moved, never copied: run_pass starts by
@@ -1393,11 +1361,9 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
         cfg.pass_index = result.passes;
         std::vector<char> active;
         if (options_.esperance) {
-          util::TraceSpan span(tbuf(0), "sta.esperance_mask");
           active = collect_esperance_gates(design_.netlist->num_gates(),
                                            best_timing, best_eps, best,
                                            options_.esperance_window);
-          span.finish();
           cfg.active_gates = &active;
           cfg.previous_timing = &best_timing;
         }
@@ -1429,7 +1395,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
           std::swap(best_timing, timing);
           std::swap(best_eps, endpoints);
           best_crit = critical;
-          util::TraceSpan span(tbuf(0), "sta.collect_quiet");
           quiet = collect_quiet(best_timing);
         }
         if (!(delay < delay_old - options_.convergence_eps)) break;
@@ -1450,10 +1415,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
   result.gates_reused = gates_reused_.load(std::memory_order_relaxed);
   result.budget.governor_checks = governor_.checks();
 
-  // Observability epilogue: close the run span, reduce the metric shards,
-  // and export the Chrome trace — all before the diagnostics snapshot so a
-  // trace-write failure still lands in result.diagnostics.
-  run_span.finish();
   if (metrics_ != nullptr) {
     metrics_->reduce_into(&result.metrics);
     result.metrics.threads = result.threads_used;
@@ -1473,18 +1434,6 @@ StaResult StaEngine::run(RunTrace* trace_out, const ReuseHints* hints) {
           static_cast<double>(pt.busy_ns) * 1e-9 /
           (result.metrics.run_wall_seconds *
            static_cast<double>(pool_->num_threads()));
-    }
-  }
-  if (trace_ != nullptr) {
-    result.metrics.trace_events = trace_->total_events();
-    result.metrics.trace_dropped = trace_->total_dropped();
-    std::string err;
-    if (!trace_->write_chrome_trace(options_.trace_path, "xtalk-sta", &err)) {
-      util::Diagnostic d;
-      d.code = util::DiagCode::kFileError;
-      d.severity = util::Severity::kWarning;
-      d.message = "chrome trace not written: " + err;
-      sink_.report(d);
     }
   }
 

@@ -33,7 +33,6 @@
 #include "util/fault_injection.hpp"
 #include "util/run_governor.hpp"
 #include "util/thread_pool.hpp"
-#include "util/trace.hpp"
 
 #include "delaycalc/arc_delay.hpp"
 #include "delaycalc/nldm.hpp"
@@ -134,16 +133,10 @@ struct StaOptions {
   /// Collect the per-run metrics snapshot (StaResult::metrics): engine
   /// counters and histograms, the per-pass/per-level breakdown, and
   /// thread-pool utilization. Accumulated into per-thread shards — cheap,
-  /// but not free, hence default off. Implied on when trace_path is set.
+  /// but not free, hence default off.
   /// Never changes computed delays; integer metrics are bitwise
   /// thread-count invariant like the results themselves.
   bool collect_metrics = false;
-  /// When non-empty, record per-pass/per-level spans into per-thread ring
-  /// buffers and write a Chrome trace-event JSON file here at the end of a
-  /// completed run (open in chrome://tracing or https://ui.perfetto.dev).
-  /// Empty = tracing fully disabled: no buffers, no clock reads; every
-  /// instrumentation site degrades to one null-pointer test.
-  std::string trace_path;
 };
 
 struct EndpointArrival {
@@ -197,9 +190,9 @@ struct StaResult {
     std::vector<netlist::NetId> untimed_endpoints;
   };
   BudgetStatus budget;
-  /// Aggregated observability snapshot (StaOptions::collect_metrics /
-  /// trace_path). Default-constructed — metrics.enabled == false — when the
-  /// run did not collect metrics.
+  /// Aggregated observability snapshot (StaOptions::collect_metrics).
+  /// Default-constructed — metrics.enabled == false — when the run did not
+  /// collect metrics.
   MetricsSnapshot metrics;
 };
 
@@ -325,13 +318,6 @@ class StaEngine {
   /// own loops; run() keeps a pre-started epoch.
   util::RunGovernor& governor() { return governor_; }
 
-  /// Serial-thread trace buffer, for callers wrapping preparatory work
-  /// (IncrementalSta's early update / dirty-set build) in spans on the same
-  /// timeline. Null when tracing is disabled.
-  util::TraceBuffer* trace_buffer() {
-    return trace_ != nullptr ? trace_->buffer(0) : nullptr;
-  }
-
  private:
   /// A replayed pass's baseline diagnostics grouped by gate, built once per
   /// pass: gate g's entries are entries[order[i]] for i in
@@ -411,7 +397,7 @@ class StaEngine {
                   EndpointArrival& critical, PassStatus& status);
 
   /// Level-barrier traversal: one pool parallel_for per level, serial
-  /// governor checkpoint (own trace span + governor-wall metric) before
+  /// governor checkpoint (own governor-wall metric) before
   /// each, level walls measured strictly around the dispatch.
   void run_levels(const PassConfig& config, std::vector<NetTiming>& timing,
                   PassStatus& status);
@@ -548,15 +534,9 @@ class StaEngine {
   std::once_flag fallback_nldm_once_;
   /// Budget enforcement for this engine's runs (one epoch per run).
   util::RunGovernor governor_;
-  /// Observability (both null when the corresponding option is off, which
+  /// Observability (null when StaOptions::collect_metrics is off, which
   /// reduces every instrumentation site to a null-pointer test).
   std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<util::TraceSession> trace_;
-
-  /// Trace buffer of `thread_id`; null when tracing is disabled.
-  util::TraceBuffer* tbuf(std::size_t thread_id) {
-    return trace_ != nullptr ? trace_->buffer(thread_id) : nullptr;
-  }
 };
 
 /// Gates on origin chains of endpoints within `window` of `delay` (the

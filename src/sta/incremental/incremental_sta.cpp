@@ -139,8 +139,6 @@ StaResult IncrementalSta::run() {
     // (StaEngine::run's own start() is idempotent).
     engine.governor().start();
     if (inject_early && !edits.empty()) {
-      util::TraceSpan span(engine.trace_buffer(), "eco.update_early", "edits",
-                           static_cast<std::int64_t>(edits.size()));
       // Same derate as StaEngine::run's early bound, so the incremental
       // bound is bitwise the from-scratch one.
       update_early(view, options_.early, options_.coupling_derate,
@@ -157,8 +155,6 @@ StaResult IncrementalSta::run() {
       dirty.seed_net.assign(view.netlist->num_nets(), 0);
       dirty.dirty_net.assign(view.netlist->num_nets(), 0);
     } else {
-      util::TraceSpan span(engine.trace_buffer(), "eco.build_dirty", "edits",
-                           static_cast<std::int64_t>(edits.size()));
       dirty = build_dirty_set(view, options_, edits);
     }
     stats_.dirty_nets = dirty.dirty_nets;

@@ -4,7 +4,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "util/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace xtalk::sta {
 
@@ -189,15 +189,20 @@ std::string format_metrics_summary(const MetricsSnapshot& m) {
     }
     os << "\n";
   }
+  if (m.run_wall_seconds > 0.0) {
+    // The serial work between passes: early activity, pass records,
+    // quiet-time collection, esperance masks and result assembly.
+    double in_passes = 0.0;
+    for (const PassMetrics& p : m.passes) in_passes += p.wall_seconds;
+    os << "  outside passes: " << std::fixed << std::setprecision(3)
+       << m.run_wall_seconds - in_passes << " s of " << m.run_wall_seconds
+       << " s run\n";
+  }
   if (m.pool_busy_ns > 0 || m.pool_wait_ns > 0) {
     os << "  pool: utilization " << std::fixed << std::setprecision(1)
        << m.pool_utilization * 100.0 << "% (busy "
        << static_cast<double>(m.pool_busy_ns) * 1e-9 << " s, wait "
        << static_cast<double>(m.pool_wait_ns) * 1e-9 << " s)\n";
-  }
-  if (m.trace_events > 0 || m.trace_dropped > 0) {
-    os << "  trace: " << m.trace_events << " events (" << m.trace_dropped
-       << " dropped)\n";
   }
   return os.str();
 }

@@ -110,9 +110,6 @@ struct MetricsSnapshot {
   /// numbers exact, never torn mid-loop.
   double pool_utilization = 0.0;
 
-  std::uint64_t trace_events = 0;
-  std::uint64_t trace_dropped = 0;
-
   std::uint64_t counter(EngineCounter c) const {
     return counters[static_cast<std::size_t>(c)];
   }

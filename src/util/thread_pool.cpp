@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/trace.hpp"
 
 namespace xtalk::util {
 

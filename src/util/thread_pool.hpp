@@ -16,6 +16,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -27,6 +28,15 @@
 #include <vector>
 
 namespace xtalk::util {
+
+/// Monotonic timestamp in nanoseconds (steady clock; never goes backwards).
+/// The pool's busy/wait timing and the metrics registry's walls read it.
+inline std::uint64_t monotonic_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 class ThreadPool {
  public:

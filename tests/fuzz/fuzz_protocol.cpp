@@ -1,125 +1,16 @@
 // libFuzzer harness for the service wire protocol: one input is one frame
 // payload ([type][request_id][body]), fed through the exact decode paths the
-// server runs on request payloads and the client runs on response payloads.
-// Contract: any byte sequence either decodes or fails recoverably (decode()
-// returns false, the WireReader goes sticky-poisoned) — never an exception,
-// never a sanitizer report, never unbounded allocation (the limits below cap
-// every length-prefixed field).
+// server runs on request payloads and the client runs on response payloads
+// (protocol_decode.hpp). Contract: any byte sequence either decodes or fails
+// recoverably (decode() returns false, the WireReader goes sticky-poisoned) —
+// never an exception, never a sanitizer report, never unbounded allocation
+// (the limits cap every length-prefixed field).
 #include <cstdint>
 
-#include "service/protocol.hpp"
-#include "util/wire.hpp"
-
-namespace {
-
-using namespace xtalk;
-using namespace xtalk::service;
-
-/// Decode the body the way the receiving side would, by prologue type.
-/// Request types take the server's path, response types the client's; both
-/// must be total over arbitrary bytes.
-void decode_body(MsgType type, util::WireReader& r) {
-  switch (type) {
-    case MsgType::kHello: {
-      // Server rule: an empty body is a legacy v1 hello, otherwise decode.
-      if (r.remaining() > 0) {
-        HelloMsg m;
-        if (m.decode(r)) (void)r.finish();
-      }
-      break;
-    }
-    case MsgType::kRunSta:
-    case MsgType::kQueryEndpoints:
-    case MsgType::kEcoOpen: {
-      RunSpec m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kQuerySlack: {
-      SlackQueryMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kEcoEdit: {
-      EcoEditMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kEcoRun:
-    case MsgType::kEcoClose: {
-      std::uint32_t session_id = 0;
-      if (r.u32(&session_id)) (void)r.finish();
-      break;
-    }
-    case MsgType::kHealth: {
-      (void)r.finish();
-      break;
-    }
-    case MsgType::kHelloOk: {
-      HelloOkMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kRunResult: {
-      RunResultMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kEcoOpened:
-    case MsgType::kEcoEditOk: {
-      std::uint32_t v = 0;
-      if (r.u32(&v)) (void)r.finish();
-      break;
-    }
-    case MsgType::kEndpoints: {
-      EndpointsMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kSlack: {
-      SlackMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kStats: {
-      StatsMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kHealthOk: {
-      HealthMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    case MsgType::kError: {
-      ErrorMsg m;
-      if (m.decode(r)) (void)r.finish();
-      break;
-    }
-    default:
-      // Prologue-valid types with empty bodies (ping, shutdown, stats
-      // request, acks): the finish() check is the whole decode.
-      (void)r.finish();
-      break;
-  }
-}
-
-}  // namespace
+#include "protocol_decode.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  // Tight limits keep a hostile length prefix from turning into a giant
-  // allocation; the production server applies the same caps per frame.
-  util::WireLimits limits;
-  limits.max_frame_bytes = 1u << 20;
-  limits.max_string_bytes = 1u << 16;
-  limits.max_array_items = 1u << 16;
-
-  util::WireReader r(data, size, limits);
-  MsgType type = MsgType::kError;
-  std::uint32_t request_id = 0;
-  if (read_prologue(r, &type, &request_id)) {
-    decode_body(type, r);
-  }
+  (void)xtalk::service::fuzz::decode_payload(data, size);
   return 0;
 }

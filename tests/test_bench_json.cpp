@@ -2,7 +2,8 @@
 // machine-readable reports feed dashboards that key on them), the writer's
 // output must round-trip through the strict JSON parser, and the schema
 // assertion must fail loudly on a partial row. Also pins the shared bench
-// sizing (XTALK_BENCH_SCALE / XTALK_THREADS parse and circuit scaling).
+// sizing (XTALK_BENCH_SCALE / XTALK_THREADS parse and circuit scaling),
+// and the strict JSON parser itself.
 #include "table_common.hpp"
 
 #include <gtest/gtest.h>
@@ -172,6 +173,41 @@ TEST(BenchSizing, ParseRejectsGarbage) {
     EXPECT_NE(std::string(e.what()).find("XTALK_BENCH_SCALE"),
               std::string::npos);
   }
+}
+
+TEST(JsonLint, AcceptsValidDocuments) {
+  util::JsonValue v;
+  std::string err;
+  EXPECT_TRUE(util::parse_json("null", &v, &err));
+  EXPECT_EQ(v.kind, util::JsonValue::Kind::kNull);
+  EXPECT_TRUE(util::parse_json("[1, 2.5, -3e2, \"x\", true, {}]", &v, &err));
+  ASSERT_TRUE(v.is_array());
+  EXPECT_EQ(v.items.size(), 6u);
+  EXPECT_EQ(v.items[1].number, 2.5);
+  EXPECT_TRUE(util::parse_json(
+      "{\"a\": {\"b\": [false]}, \"c\": \"\\n\\u0041\"}", &v, &err));
+  ASSERT_TRUE(v.is_object());
+  EXPECT_NE(v.find("a"), nullptr);
+  EXPECT_EQ(v.find("missing"), nullptr);
+}
+
+TEST(JsonLint, RejectsMalformedDocuments) {
+  util::JsonValue v;
+  std::string err;
+  EXPECT_FALSE(util::parse_json("", &v, &err));
+  EXPECT_FALSE(util::parse_json("{", &v, &err));
+  EXPECT_FALSE(util::parse_json("[1,]", &v, &err));
+  EXPECT_FALSE(util::parse_json("{\"a\" 1}", &v, &err));
+  EXPECT_FALSE(util::parse_json("01", &v, &err));
+  EXPECT_FALSE(util::parse_json("1. ", &v, &err));
+  EXPECT_FALSE(util::parse_json("\"unterminated", &v, &err));
+  EXPECT_FALSE(util::parse_json("\"bad\\q\"", &v, &err));
+  EXPECT_FALSE(util::parse_json("true false", &v, &err));  // trailing tokens
+  EXPECT_FALSE(err.empty());
+  // Depth bomb: deeper than the parser's recursion limit.
+  std::string deep(100, '[');
+  deep += std::string(100, ']');
+  EXPECT_FALSE(util::parse_json(deep, &v, &err));
 }
 
 }  // namespace

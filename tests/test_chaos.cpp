@@ -181,11 +181,11 @@ TEST(ChaosClient, VersionMismatchIsATypedError) {
   // Wrong version: typed rejection, connection stays usable. Version 6 is
   // the last one with durable sessions (eco-resume, tokens); a client that
   // still speaks it must be turned away before it sends any of that.
-  // Version 7 still encodes the budget-policy byte of RunSpec, so its run
-  // requests would misparse.
+  // Version 7 still encodes the budget-policy byte of RunSpec, and version
+  // 8 its metrics flag and trace path, so their run requests would misparse.
   ErrorMsg err;
   FrameView reply;
-  for (const std::uint32_t version : {999u, 6u, 7u}) {
+  for (const std::uint32_t version : {999u, 6u, 7u, 8u}) {
     util::WireWriter beta;
     HelloMsg other_hello;
     other_hello.protocol_version = version;

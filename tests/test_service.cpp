@@ -1,16 +1,17 @@
 // The analysis service end to end over loopback TCP: protocol round trips,
 // the bitwise service-vs-local contract (single and multi-scenario), ECO
-// sessions, malformed-frame recovery, per-request trace qualification,
-// overload truncation, and the graceful shutdown drain (listener closes
-// first).
+// sessions, malformed-frame recovery, the protocol fuzz seeds, overload
+// truncation, and the graceful shutdown drain (listener closes first).
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -18,10 +19,10 @@
 #include <vector>
 
 #include "core/crosstalk_sta.hpp"
+#include "fuzz/protocol_decode.hpp"
 #include "netlist/circuit_generator.hpp"
 #include "service/client.hpp"
 #include "sta/incremental/incremental_sta.hpp"
-#include "util/json_lint.hpp"
 
 namespace xtalk::service {
 namespace {
@@ -106,7 +107,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   spec.timing_windows = true;
   spec.deadline_ms = 125.0;
   spec.max_waveform_calcs = 4242;
-  spec.trace_path = "/tmp/trace.json";
   spec.scenario.name = "ff_derated";
   spec.scenario.vdd_scale = 1.1;
   spec.scenario.temperature_c = -40.0;
@@ -130,7 +130,6 @@ TEST(Protocol, RunSpecRoundTripsThroughWire) {
   EXPECT_EQ(decoded.timing_windows, spec.timing_windows);
   EXPECT_TRUE(bits_equal(decoded.deadline_ms, spec.deadline_ms));
   EXPECT_EQ(decoded.max_waveform_calcs, spec.max_waveform_calcs);
-  EXPECT_EQ(decoded.trace_path, spec.trace_path);
   EXPECT_EQ(decoded.scenario.name, spec.scenario.name);
   EXPECT_TRUE(bits_equal(decoded.scenario.vdd_scale, spec.scenario.vdd_scale));
   EXPECT_TRUE(
@@ -181,7 +180,6 @@ TEST(Protocol, RunResultRoundTripsThroughWire) {
   d.pass = 1;
   d.message = "degraded";
   m.diagnostics.push_back(d);
-  m.trace_path = "/tmp/trace.r1.json";
 
   util::WireWriter w;
   m.encode(w);
@@ -253,10 +251,21 @@ TEST(Protocol, CacheKeyFoldsTheModeOverride) {
   EXPECT_NE(plain.cache_key(), other.cache_key());
 }
 
-TEST(Protocol, TracePathQualification) {
-  EXPECT_EQ(qualified_trace_path("", 7), "");
-  EXPECT_EQ(qualified_trace_path("/tmp/t.json", 7), "/tmp/t-req7.json");
-  EXPECT_EQ(qualified_trace_path("/tmp/trace", 12), "/tmp/trace-req12");
+TEST(Protocol, EveryFuzzSeedDecodesAndFinishes) {
+  // A seed that fails to decode makes the fuzzer mutate frames that die at
+  // the first missing field, so every seed must carry the current layout
+  // (re-capture the seeds whose message changed on each version bump).
+  std::size_t seeds = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(XTALK_PROTOCOL_CORPUS)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    EXPECT_TRUE(fuzz::decode_payload(bytes.data(), bytes.size()))
+        << entry.path().filename();
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 14u);
 }
 
 TEST(Service, HelloReportsDesign) {
@@ -390,6 +399,47 @@ TEST(Service, MultiScenarioSlackIsTheMinimumOverLocalRuns) {
   // Three corners: process_slow shares nominal's V/T bits but not its key.
   EXPECT_EQ(session.corners_cached(), 3u);
   EXPECT_EQ(session.baselines_cached(), 3u);
+}
+
+TEST(Service, RunAtAProcessCornerIsBitwiseTheLocalScenarioRun) {
+  // Own session, so the shared design's corner cache stays nominal-only.
+  DesignSession session(
+      core::Design::generate(netlist::scaled_spec("svc-corner", 29, 80, 6)),
+      "svc-corner");
+  ServerFixture fx({}, session);
+  XtalkClient client = fx.connect();
+
+  RunSpec spec;
+  spec.scenario.name = "process_slow";
+  spec.scenario.process = device::ProcessCorner::kSlow;
+  const RunResultMsg remote = client.run_sta(spec);
+
+  const sta::McmmResult local =
+      session.design().run_scenarios(RunSpec{}.to_options(), {spec.scenario});
+  ASSERT_EQ(local.runs.size(), 1u);
+  const sta::StaResult& slow = local.runs[0].result;
+  ASSERT_TRUE(bits_equal(remote.longest_path_delay, slow.longest_path_delay));
+  EXPECT_EQ(remote.critical.net, slow.critical.net);
+  EXPECT_EQ(remote.critical.rising, slow.critical.rising);
+  ASSERT_EQ(remote.endpoints.size(), slow.endpoints.size());
+  for (std::size_t i = 0; i < slow.endpoints.size(); ++i) {
+    EXPECT_TRUE(
+        bits_equal(remote.endpoints[i].arrival, slow.endpoints[i].arrival))
+        << "endpoint " << i;
+    EXPECT_EQ(remote.endpoints[i].net, slow.endpoints[i].net);
+  }
+  EXPECT_EQ(remote.passes, slow.passes);
+  EXPECT_EQ(remote.waveform_calculations, slow.waveform_calculations);
+
+  // The corner really moved the result, and the baseline query of the same
+  // spec reads the same corner.
+  const sta::StaResult nominal =
+      sta::run_sta(session.view(), RunSpec{}.to_options());
+  EXPECT_FALSE(bits_equal(slow.longest_path_delay, nominal.longest_path_delay));
+  const EndpointsMsg queried = client.query_endpoints(spec);
+  EXPECT_TRUE(
+      bits_equal(queried.longest_path_delay, remote.longest_path_delay));
+  EXPECT_EQ(session.corners_cached(), 1u);
 }
 
 TEST(Service, EcoSessionMatchesLocalIncrementalRun) {
@@ -558,42 +608,6 @@ TEST(Service, PipelinedRequestsExecuteInOrder) {
   EXPECT_EQ(r3.request_id, 3u);
   EXPECT_EQ(r1.type, MsgType::kPong);
   EXPECT_EQ(r3.type, MsgType::kHelloOk);
-}
-
-TEST(Service, ConcurrentTraceRequestsWriteDistinctValidFiles) {
-  ServiceConfig config;
-  config.num_executors = 2;
-  ServerFixture fx(config);
-  const std::string base = ::testing::TempDir() + "svc_trace.json";
-  // Two concurrent runs sharing one trace path must not clobber each other.
-  std::string path_a, path_b;
-  std::thread t([&] {
-    XtalkClient client = fx.connect();
-    RunSpec spec;
-    spec.trace_path = base;
-    path_a = client.run_sta(spec).trace_path;
-  });
-  XtalkClient client = fx.connect();
-  RunSpec spec;
-  spec.trace_path = base;
-  path_b = client.run_sta(spec).trace_path;
-  t.join();
-  ASSERT_FALSE(path_a.empty());
-  ASSERT_FALSE(path_b.empty());
-  EXPECT_NE(path_a, path_b);
-  for (const std::string& path : {path_a, path_b}) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << path;
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    util::JsonValue root;
-    std::string err;
-    EXPECT_TRUE(util::parse_json(text, &root, &err)) << path << ": " << err;
-    std::remove(path.c_str());
-  }
 }
 
 TEST(Service, BudgetedRunTruncatesBitwiseLikeALocalBudgetedRun) {

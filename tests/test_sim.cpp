@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "core/transistor_netlist.hpp"
+#include "netlist/cell_library.hpp"
 #include "sim/measure.hpp"
 
 namespace xtalk::sim {
@@ -144,6 +147,47 @@ TEST(Transient, RecordEveryDecimation) {
   const auto thin = simulate(ckt, tables(), opt);
   EXPECT_LT(thin.num_steps(), full.num_steps());
   EXPECT_NEAR(thin.times().back(), full.times().back(), 1e-12);
+}
+
+/// One INV_X1 driving 10 fF from a 0.2 ns input ramp; returns the output.
+NodeId inverter_under_ramp(Circuit& ckt) {
+  core::TransistorNetlistBuilder b(ckt, tech());
+  const NodeId in = ckt.add_node("in");
+  ckt.add_vsource(in, util::Pwl::ramp(0.1e-9, 0.0, 0.3e-9, tech().vdd));
+  std::vector<std::optional<NodeId>> pins(2);
+  pins[0] = in;
+  const NodeId out =
+      b.expand_cell(netlist::CellLibrary::half_micron().get("INV_X1"), "i0",
+                    pins)
+          .output;
+  ckt.add_capacitor(out, ckt.ground(), 10e-15);
+  return out;
+}
+
+TEST(Transient, SimulateReportsSolverStats) {
+  Circuit ckt;
+  inverter_under_ramp(ckt);
+  TransientOptions opt;
+  opt.tstop = 1e-9;
+  const TransientResult r = simulate(ckt, tables(), opt);
+  EXPECT_GT(r.stats.accepted_steps, 0u);
+  EXPECT_EQ(r.stats.holds, 0u);
+}
+
+TEST(Transient, SolverStatsAndWaveformsAreRepeatable) {
+  Circuit ckt;
+  const NodeId out = inverter_under_ramp(ckt);
+  TransientOptions opt;
+  opt.tstop = 1e-9;
+  const TransientResult a = simulate(ckt, tables(), opt);
+  const TransientResult b = simulate(ckt, tables(), opt);
+  EXPECT_EQ(a.stats.accepted_steps, b.stats.accepted_steps);
+  EXPECT_EQ(a.stats.newton_retries, b.stats.newton_retries);
+  EXPECT_EQ(a.stats.step_halvings, b.stats.step_halvings);
+  ASSERT_EQ(a.num_steps(), b.num_steps());
+  for (std::size_t s = 0; s < a.num_steps(); ++s) {
+    ASSERT_EQ(a.voltage(s, out), b.voltage(s, out));
+  }
 }
 
 TEST(Measure, CrossingsOnGlitchyWaveform) {
