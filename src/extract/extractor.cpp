@@ -32,7 +32,7 @@ Parasitics extract(const netlist::Netlist& nl,
   // --- per-net wire cap / length and per-sink RC -------------------------
   // Path resistance and wire Elmore come from the net's RC tree (shared
   // trunk with taps); the per-connection capacitance stays the L-route
-  // value for SPEF / validation lumping.
+  // value for validation lumping.
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
     const layout::RoutedNet& rn = routing.net(n);
     NetParasitics& p = para.net(n);

@@ -122,8 +122,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
   std::size_t tokens = 0;
   auto count_token = [&] {
     if (++tokens > limits.max_tokens) {
-      pd.fatal(util::DiagCode::kInputLimit,
-               static_cast<std::int64_t>(line_no), -1,
+      pd.fatal(util::DiagCode::kInputLimit, static_cast<std::int64_t>(line_no),
                "token count exceeds limit (" +
                    std::to_string(limits.max_tokens) + ")");
     }
@@ -135,8 +134,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
         (nl_pos == std::string_view::npos ? text.size() : nl_pos) - pos;
     ++line_no;
     if (raw_len > limits.max_line_length) {
-      pd.fatal(util::DiagCode::kInputLimit,
-               static_cast<std::int64_t>(line_no), -1,
+      pd.fatal(util::DiagCode::kInputLimit, static_cast<std::int64_t>(line_no),
                "line length " + std::to_string(raw_len) +
                    " exceeds limit (" +
                    std::to_string(limits.max_line_length) + ")");
@@ -147,7 +145,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
     // Recovery is per-line: every diagnostic below abandons this line only
     // and the loop continues with the next one (until max_errors trips).
     auto bad_line = [&](const std::string& msg) {
-      recovering = pd.error(static_cast<std::int64_t>(line_no), -1, msg);
+      recovering = pd.error(static_cast<std::int64_t>(line_no), msg);
     };
 
     const std::size_t eq = line.find('=');
@@ -218,8 +216,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
       continue;
     }
     if (gates.size() >= limits.max_instances) {
-      pd.fatal(util::DiagCode::kInputLimit,
-               static_cast<std::int64_t>(line_no), -1,
+      pd.fatal(util::DiagCode::kInputLimit, static_cast<std::int64_t>(line_no),
                "instance count exceeds limit (" +
                    std::to_string(limits.max_instances) + ")");
     }
@@ -241,7 +238,6 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
   auto check_nets = [&](std::size_t line) {
     if (nl.num_nets() > limits.max_nets) {
       pd.fatal(util::DiagCode::kInputLimit, static_cast<std::int64_t>(line),
-               -1,
                "net count exceeds limit (" + std::to_string(limits.max_nets) +
                    ")");
     }
@@ -252,7 +248,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
     try {
       nl.mark_primary_input(nl.add_net(in));
     } catch (const std::exception& e) {
-      recovering = pd.error(-1, -1, e.what());
+      recovering = pd.error(-1, e.what());
     }
     check_nets(0);
   }
@@ -265,7 +261,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
   for (const ParsedGate& g : gates) {
     if (!recovering) break;
     auto bad_gate = [&](const std::string& msg) {
-      recovering = pd.error(static_cast<std::int64_t>(g.line_no), -1, msg);
+      recovering = pd.error(static_cast<std::int64_t>(g.line_no), msg);
     };
     try {
       CellFunc func;
@@ -331,7 +327,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
     if (!recovering) break;
     const NetId id = nl.find_net(out);
     if (id == kNoNet) {
-      recovering = pd.error(-1, -1, "OUTPUT(" + out + ") is never driven");
+      recovering = pd.error(-1, "OUTPUT(" + out + ") is never driven");
       continue;
     }
     nl.mark_primary_output(id);
@@ -343,7 +339,7 @@ Netlist parse_bench(std::string_view text, const CellLibrary& library,
   } catch (const std::exception& e) {
     // Structural inconsistency that survived a clean parse: still routed
     // through DiagError so every front-end failure carries a Diagnostic.
-    pd.fatal(util::DiagCode::kParseError, -1, -1, e.what());
+    pd.fatal(util::DiagCode::kParseError, -1, e.what());
   }
   return nl;
 }
@@ -354,7 +350,7 @@ Netlist parse_bench_file(const std::string& path, const CellLibrary& library,
   std::ifstream in(path);
   if (!in) {
     util::ParseDiag pd(path, limits, sink);
-    pd.fatal(util::DiagCode::kFileError, -1, -1, "cannot open " + path);
+    pd.fatal(util::DiagCode::kFileError, -1, "cannot open " + path);
   }
   std::ostringstream ss;
   ss << in.rdbuf();

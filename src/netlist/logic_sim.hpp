@@ -1,10 +1,9 @@
 // Event-free levelized logic simulation.
 //
-// Two jobs in this codebase: (a) prove that netlist transformations —
-// wide-gate decomposition in the .bench parser, Verilog round-trips, clock
-// tree insertion — preserve function, and (b) provide switching vectors
-// for experiments that need realistic activity. Values are 0/1 (no X/Z;
-// every net is driven after Netlist::validate()).
+// The reference the tests compare netlist transformations against: it
+// proves that wide-gate decomposition in the .bench parser and clock tree
+// insertion preserve function. Values are 0/1 (no X/Z; every net is driven
+// after Netlist::validate()).
 #pragma once
 
 #include <cstdint>

@@ -60,16 +60,15 @@ std::string format_diagnostic(const Diagnostic& d) {
   if (d.ctx.pass >= 0) out << " pass " << d.ctx.pass;
   if (!d.ctx.file.empty()) out << ' ' << d.ctx.file;
   if (d.ctx.line >= 0) out << " line " << d.ctx.line;
-  if (d.ctx.column >= 0) out << " col " << d.ctx.column;
   if (!d.message.empty()) out << ": " << d.message;
   return out.str();
 }
 
 bool diagnostic_order(const Diagnostic& a, const Diagnostic& b) {
   return std::tie(a.ctx.pass, a.ctx.level, a.ctx.gate, a.ctx.net, a.ctx.file,
-                  a.ctx.line, a.ctx.column, a.code, a.severity, a.message) <
+                  a.ctx.line, a.code, a.severity, a.message) <
          std::tie(b.ctx.pass, b.ctx.level, b.ctx.gate, b.ctx.net, b.ctx.file,
-                  b.ctx.line, b.ctx.column, b.code, b.severity, b.message);
+                  b.ctx.line, b.code, b.severity, b.message);
 }
 
 namespace {
@@ -126,32 +125,27 @@ std::size_t DiagReport::count(DiagCode code) const {
 }
 
 Diagnostic ParseDiag::make(DiagCode code, Severity severity,
-                           std::int64_t line, std::int64_t column,
-                           std::string message) const {
+                           std::int64_t line, std::string message) const {
   Diagnostic d;
   d.code = code;
   d.severity = severity;
   d.ctx.file = file_;
   d.ctx.line = line;
-  d.ctx.column = column;
   d.message = std::move(message);
   return d;
 }
 
-bool ParseDiag::error(std::int64_t line, std::int64_t column,
-                      std::string message) {
-  Diagnostic d = make(DiagCode::kParseError, Severity::kError, line, column,
-                      std::move(message));
+bool ParseDiag::error(std::int64_t line, std::string message) {
+  Diagnostic d =
+      make(DiagCode::kParseError, Severity::kError, line, std::move(message));
   if (errors_ == 0) first_ = d;
   ++errors_;
   if (sink_ != nullptr) sink_->report(std::move(d));
   return errors_ < limits_.max_errors;
 }
 
-void ParseDiag::fatal(DiagCode code, std::int64_t line, std::int64_t column,
-                      std::string message) {
-  Diagnostic d =
-      make(code, Severity::kError, line, column, std::move(message));
+void ParseDiag::fatal(DiagCode code, std::int64_t line, std::string message) {
+  Diagnostic d = make(code, Severity::kError, line, std::move(message));
   if (sink_ != nullptr) sink_->report(d);
   throw DiagError(std::move(d));
 }

@@ -81,7 +81,6 @@ struct DiagContext {
   int pass = -1;           ///< STA pass index
   std::string file;        ///< source file (parser/front-end diagnostics)
   std::int64_t line = -1;  ///< 1-based source line
-  std::int64_t column = -1;///< 1-based source column
 };
 
 struct Diagnostic {
@@ -93,13 +92,13 @@ struct Diagnostic {
 
 /// One-line rendering: "[warning bisection-fallback] gate 12 net 7 pass 0:
 /// message" — parser diagnostics render their source location instead:
-/// "[error parse-error] file.bench line 2 col 7: message".
+/// "[error parse-error] file.bench line 2: message".
 std::string format_diagnostic(const Diagnostic& d);
 
-/// Resource limits of the text front-ends (bench/verilog/SPEF parsers).
-/// They bound what adversarial input can make the parser allocate; the
-/// defaults are far above any legitimate netlist of this code base's
-/// scale. A limit hit is reported as kInputLimit and aborts the parse.
+/// Resource limits of the bench parser, the one text front-end. They
+/// bound what adversarial input can make the parser allocate; the defaults
+/// are far above any legitimate netlist of this code base's scale. A limit
+/// hit is reported as kInputLimit and aborts the parse.
 struct ParseLimits {
   std::size_t max_line_length = 1u << 16;  ///< bytes per logical line
   std::size_t max_tokens = 8u << 20;       ///< tokens per file
@@ -116,42 +115,37 @@ bool diagnostic_order(const Diagnostic& a, const Diagnostic& b);
 
 class DiagSink;
 
-/// Error accumulator of the text front-ends (bench/Verilog/SPEF). The
-/// parsers report every malformed statement here and recover to the next
-/// one instead of throwing on first contact; at end-of-input finish()
-/// raises a single DiagError carrying the *first* error (so existing
-/// "throws with line number" contracts hold) annotated with the total
-/// count. Resource-limit hits and unopenable files are unrecoverable and
-/// throw immediately via fatal(). Every record is mirrored into the
-/// optional external sink so callers see the full list, not just the
-/// first.
+/// Error accumulator of the bench parser. The parser reports every
+/// malformed statement here and recovers to the next one instead of
+/// throwing on first contact; at end-of-input finish() raises a single
+/// DiagError carrying the *first* error (so existing "throws with line
+/// number" contracts hold) annotated with the total count. Resource-limit
+/// hits and unopenable files are unrecoverable and throw immediately via
+/// fatal(). Every record is mirrored into the optional external sink so
+/// callers see the full list, not just the first.
 class ParseDiag {
  public:
   ParseDiag(std::string file, const ParseLimits& limits,
             DiagSink* sink = nullptr)
       : file_(std::move(file)), limits_(limits), sink_(sink) {}
 
-  const ParseLimits& limits() const { return limits_; }
-  std::size_t error_count() const { return errors_; }
-  bool ok() const { return errors_ == 0; }
-
   /// Record a recoverable parse error (kParseError). Returns true while
   /// the caller may keep recovering, false once max_errors is reached —
   /// the caller should then stop consuming input and call finish().
-  bool error(std::int64_t line, std::int64_t column, std::string message);
+  bool error(std::int64_t line, std::string message);
 
   /// Record and immediately throw DiagError: resource-limit hits
   /// (kInputLimit) and file-system failures (kFileError) that recovery
   /// cannot get past.
   [[noreturn]] void fatal(DiagCode code, std::int64_t line,
-                          std::int64_t column, std::string message);
+                          std::string message);
 
   /// Throw DiagError for the first recorded error; no-op on a clean parse.
   void finish() const;
 
  private:
   Diagnostic make(DiagCode code, Severity severity, std::int64_t line,
-                  std::int64_t column, std::string message) const;
+                  std::string message) const;
 
   std::string file_;
   ParseLimits limits_;

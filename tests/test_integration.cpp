@@ -1,46 +1,15 @@
-// End-to-end integration across interchange formats and the analysis flow:
-// Verilog in, SPEF re-import, repair loop, and validation consistency on a
-// mid-size generated design.
+// End-to-end integration of the analysis flow on mid-size generated
+// designs: repair loop, validation consistency and clock skew.
 #include <gtest/gtest.h>
 
 #include "core/crosstalk_sta.hpp"
 #include "core/validation.hpp"
-#include "extract/spef.hpp"
-#include "netlist/bench_parser.hpp"
 #include "netlist/embedded_benchmarks.hpp"
-#include "netlist/verilog_parser.hpp"
-#include "sta/noise.hpp"
 #include "sta/path.hpp"
 #include "sta/report.hpp"
 
 namespace xtalk {
 namespace {
-
-TEST(Integration, VerilogEntersTheFullFlow) {
-  // bench -> verilog text -> netlist -> full physical flow -> STA.
-  const netlist::Netlist nl = netlist::parse_bench(
-      netlist::s27_bench(), netlist::CellLibrary::half_micron());
-  const std::string verilog = netlist::write_verilog(nl, "s27");
-  core::Design d = core::Design::build(netlist::parse_verilog(
-      verilog, netlist::CellLibrary::half_micron()));
-  const sta::StaResult r = d.run(sta::AnalysisMode::kOneStep);
-  EXPECT_GT(r.longest_path_delay, 0.5e-9);
-  EXPECT_LT(r.longest_path_delay, 5e-9);
-}
-
-TEST(Integration, SpefReimportReproducesAnalysisAtScale) {
-  const core::Design d =
-      core::Design::generate(netlist::scaled_spec("int", 61, 700, 11));
-  const std::string spef = extract::write_spef(d.netlist(), d.parasitics());
-  const extract::Parasitics imported = extract::read_spef(spef, d.netlist());
-  sta::DesignView v = d.view();
-  const double orig = sta::run_sta(v, {}).longest_path_delay;
-  v.parasitics = &imported;
-  const double replay = sta::run_sta(v, {}).longest_path_delay;
-  // The SPEF subset lumps per-connection caps (no tree topology), so the
-  // re-imported Elmore shifts slightly; total loads are conserved exactly.
-  EXPECT_NEAR(replay, orig, orig * 0.05);
-}
 
 TEST(Integration, RepairLoopMonotoneOverRounds) {
   core::Design d =
@@ -72,22 +41,6 @@ TEST(Integration, BusValidationTracksOneStepSelection) {
   const core::ValidationResult vr = core::validate_critical_path(d, r, opt);
   EXPECT_LE(vr.sim_delay, vr.sta_delay * 1.05);
   EXPECT_GT(vr.sim_delay, vr.sta_delay * 0.5);
-}
-
-TEST(Integration, NoiseScanOnGeneratedCircuit) {
-  const core::Design d =
-      core::Design::generate(netlist::scaled_spec("int", 63, 900, 11));
-  const sta::StaResult timing = d.run(sta::AnalysisMode::kOneStep);
-  sta::NoiseOptions opt;
-  opt.margin = 0.2;
-  opt.use_timing = true;
-  const auto violations = sta::analyze_noise(d.view(), &timing, opt);
-  // Dense random routing must produce some glitch-prone victims; all
-  // glitches stay below the rail.
-  EXPECT_FALSE(violations.empty());
-  for (const sta::NoiseViolation& v : violations) {
-    EXPECT_LT(v.glitch, d.tech().vdd);
-  }
 }
 
 TEST(Integration, ClockSkewSmallAgainstInsertion) {

@@ -6,7 +6,6 @@
 #include "netlist/circuit_generator.hpp"
 #include "netlist/clock_tree.hpp"
 #include "netlist/embedded_benchmarks.hpp"
-#include "netlist/verilog_parser.hpp"
 #include "util/rng.hpp"
 
 namespace xtalk::netlist {
@@ -117,35 +116,6 @@ TEST(LogicSim, S27SequentialStepsMatchReference) {
     EXPECT_EQ(state[0], g5) << cycle;
     EXPECT_EQ(state[1], g6) << cycle;
     EXPECT_EQ(state[2], g7) << cycle;
-  }
-}
-
-TEST(LogicSim, VerilogRoundTripEquivalent) {
-  const Netlist a = parse_bench(s27_bench(), lib());
-  const Netlist b = parse_verilog(write_verilog(a, "s27"), lib());
-  const LogicSimulator sa(a), sb(b);
-  ASSERT_EQ(sa.num_flops(), sb.num_flops());
-  util::Rng rng(11);
-  std::vector<std::uint8_t> state_a(3, 0), state_b(3, 0);
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    std::vector<std::uint8_t> pi(a.primary_inputs().size());
-    for (auto& v : pi) v = rng.next_bool(0.5) ? 1 : 0;
-    // Map PI vector of `a` onto `b` by name.
-    std::vector<std::uint8_t> pi_b(b.primary_inputs().size(), 0);
-    for (std::size_t i = 0; i < pi.size(); ++i) {
-      const std::string& name = a.net(a.primary_inputs()[i]).name;
-      for (std::size_t j = 0; j < b.primary_inputs().size(); ++j) {
-        if (b.net(b.primary_inputs()[j]).name == name) pi_b[j] = pi[i];
-      }
-    }
-    const auto va = sa.step(pi, state_a);
-    const auto vb = sb.step(pi_b, state_b);
-    // Compare every common net by name.
-    for (NetId n = 0; n < a.num_nets(); ++n) {
-      const NetId m = b.find_net(a.net(n).name);
-      ASSERT_NE(m, kNoNet);
-      EXPECT_EQ(va[n], vb[m]) << a.net(n).name << " cycle " << cycle;
-    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Coverage for corner paths not exercised elsewhere: the dense-solver
 // fallback of the transient engine, NLDM mode degeneracies, PWL clipping
-// edge cases, and timing-state accessors.
+// edge cases, timing-state accessors, and the clock-skew and
+// coupling-impact reports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "netlist/embedded_benchmarks.hpp"
 #include "sim/measure.hpp"
 #include "sim/transient.hpp"
+#include "sta/report.hpp"
 #include "sta/timing_graph.hpp"
 
 namespace xtalk {
@@ -110,3 +112,49 @@ TEST(Measure, SlewBetweenLevels) {
 
 }  // namespace
 }  // namespace xtalk
+
+namespace xtalk::sta {
+namespace {
+
+const core::Design& bus() {
+  static const core::Design d =
+      core::Design::from_bench(netlist::coupled_bus_bench());
+  return d;
+}
+
+TEST(ClockSkew, BalancedTreeHasBoundedSkew) {
+  const core::Design d =
+      core::Design::generate(netlist::scaled_spec("skew", 5, 2400, 12));
+  const StaResult r = d.run(AnalysisMode::kBestCase);
+  const ClockSkewReport rep = compute_clock_skew(r, d.netlist());
+  EXPECT_EQ(rep.flip_flops, d.netlist().sequential_gates().size());
+  EXPECT_GT(rep.min_insertion, 0.0);
+  EXPECT_GE(rep.skew, 0.0);
+  // A balanced tree keeps skew well below the insertion delay itself.
+  EXPECT_LT(rep.skew, rep.max_insertion);
+}
+
+TEST(ClockSkew, NoFlipFlopsGivesZeroReport) {
+  const core::Design d = core::Design::from_bench(netlist::c17_bench());
+  const StaResult r = d.run(AnalysisMode::kBestCase);
+  const ClockSkewReport rep = compute_clock_skew(r, d.netlist());
+  EXPECT_EQ(rep.flip_flops, 0u);
+  EXPECT_DOUBLE_EQ(rep.skew, 0.0);
+}
+
+TEST(CouplingImpactReport, SortedAndNonNegative) {
+  const StaResult best = bus().run(AnalysisMode::kBestCase);
+  const StaResult worst = bus().run(AnalysisMode::kWorstCase);
+  const auto impact = coupling_impact(worst, best);
+  ASSERT_FALSE(impact.empty());
+  for (std::size_t i = 1; i < impact.size(); ++i) {
+    EXPECT_GE(impact[i - 1].delta, impact[i].delta);
+  }
+  for (const CouplingImpact& ci : impact) {
+    EXPECT_GE(ci.delta, -1e-13);
+  }
+  EXPECT_GT(impact.front().delta, 0.0);
+}
+
+}  // namespace
+}  // namespace xtalk::sta
